@@ -12,7 +12,6 @@ from .circle import (
     double,
     orbit_info,
     preimages,
-    refine,
     sigma_pow,
 )
 from .lamination import Chord, build, export_svg, linked, orbit_chords, verify_unlinked

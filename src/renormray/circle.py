@@ -219,10 +219,6 @@ class Arc:
             "len": {"num": str(self.length.numerator), "den": str(self.length.denominator)},
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Arc":
-        return cls(Angle.from_json(obj["start"]), Fraction(int(obj["len"]["num"]), int(obj["len"]["den"])))
-
     def __repr__(self):
         return f"Arc[{self.start}, {self.end}] (len {self.length})"
 
@@ -323,18 +319,6 @@ class ArcSet:
                 raise ValueError("component too long, image not an arc")
         return ArcSet(Arc(double(a.start), 2 * a.length) for a in self.arcs)
 
-    def sigma_preimage_pow(self, m: int, max_components: int = 1 << 20) -> "ArcSet":
-        """The full m-fold doubling preimage: 2^m scaled copies per component."""
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        if (1 << m) * len(self.arcs) > max_components:
-            raise ValueError("preimage would have too many components")
-        out = []
-        for a in self.arcs:
-            for k in range(1 << m):
-                out.append(Arc(Angle((a.start.frac + k) / (1 << m)), a.length / (1 << m)))
-        return ArcSet(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ArcSet) and self.arcs == other.arcs
 
@@ -349,13 +333,6 @@ class ArcSet:
 
     def __repr__(self):
         return "ArcSet(" + " u ".join(f"[{a.start}, {a.end}]" for a in self.arcs) + ")"
-
-    def to_json(self) -> list:
-        return [a.to_json() for a in self.arcs]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "ArcSet":
-        return cls(Arc.from_json(o) for o in obj)
 
 
 @dataclass(frozen=True)
@@ -405,7 +382,3 @@ class LimitAngle:
         if bits < 1:
             raise ValueError("bit request must be >= 1")
         return Angle(self.prefix_bits(bits), 1 << bits)
-
-
-def refine(limit: LimitAngle, bits: int) -> Angle:
-    return limit.refine(bits)

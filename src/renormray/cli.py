@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import selftest as selftest_mod
 from .circle import Angle
@@ -18,7 +19,6 @@ from .lamination import build, export_svg, verify_unlinked
 from .plane import (
     Params,
     beta_point,
-    expansion_report,
     feigenbaum_parameter,
     green,
     periodic_points,
@@ -47,10 +47,6 @@ class DomainError(Exception):
     pass
 
 
-def _angle(text: str) -> Angle:
-    return Angle.parse(text)
-
-
 def _complex(text: str) -> complex:
     return complex(text.replace(" ", "").replace("i", "j"))
 
@@ -60,8 +56,11 @@ def _tower(args) -> Tower:
         return feigenbaum_tower(args.depth)
     if args.tower == "rabbit":
         return rabbit_tower(args.depth)
-    data = json.loads(args.tower)
-    levels = [RayPair(int(lv["period"]), _angle(lv["lo"]), _angle(lv["hi"])) for lv in data]
+    try:
+        data = json.loads(args.tower)
+        levels = [RayPair(int(lv["period"]), Angle.parse(lv["lo"]), Angle.parse(lv["hi"])) for lv in data]
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        _usage_error(args, f"--tower is not a JSON list of {{period, lo, hi}} objects: {exc!r}")
     return Tower(tuple(levels[: args.depth] if args.depth else levels))
 
 
@@ -82,8 +81,14 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _arcset_json(s) -> list:
-    return [{"start": str(a.start), "length": f"{a.length.numerator}/{a.length.denominator}"} for a in s.components]
+def _usage_error(args, message: str) -> NoReturn:
+    print(f"{args.command}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _arc_json(arc) -> dict:
+    """An arc as {"start", "length"} "p/q" strings (every emitted arc has 0 < length < 1)."""
+    return {"start": str(arc.start), "length": str(arc.length)}
 
 
 def cmd_tower(args):
@@ -100,22 +105,24 @@ def cmd_window(args):
             {
                 "level": args.level,
                 "j": j,
-                "components": _arcset_json(sub.arcs),
-                "labels": {k: {"start": str(a.start), "length": str(a.length)} for k, a in sub.labeled.items()},
+                "components": [_arc_json(a) for a in sub.arcs],
+                "labels": {k: _arc_json(a) for k, a in sub.labeled.items()},
             },
             args,
         )
     else:
-        _emit({"level": args.level, "j": j, "components": _arcset_json(window_at(pair, j))}, args)
+        _emit({"level": args.level, "j": j, "components": [_arc_json(a) for a in window_at(pair, j)]}, args)
 
 
 def cmd_shadow(args):
+    if not args.kc and args.t is None:
+        _usage_error(args, "needs --t, or --kc for the K_c shadow")
     comb = _tower(args)
     if args.kc:
         shad = shadow_Kc(comb, comb.depth)
         _emit(
             {
-                "s": _arcset_json(shad.s),
+                "s": [_arc_json(a) for a in shad.s],
                 "tau1": str(shad.tau1.refine(args.bits)),
                 "tau2": str(shad.tau2.refine(args.bits)),
                 "bits": args.bits,
@@ -123,20 +130,20 @@ def cmd_shadow(args):
             args,
         )
         return
-    result = in_shadow(_angle(args.t), comb, args.level, args.j)
+    result = in_shadow(Angle.parse(args.t), comb, args.level, args.j)
     _emit({"t": args.t, "level": args.level, "j": args.j, "in_shadow": result}, args)
 
 
 def cmd_theta(args):
     comb = _tower(args)
-    res = theta(comb, args.level, _angle(args.t))
+    res = theta(comb, args.level, Angle.parse(args.t))
     _emit({"t": args.t, "level": args.level, "value": str(res.value), "boundary_collapse": res.boundary_collapse}, args)
 
 
 def cmd_omega(args):
     comb = _tower(args)
     source = shadow_Kc(comb, comb.depth).tau1
-    targets = [_angle(t) for t in args.targets]
+    targets = [Angle.parse(t) for t in args.targets]
     hits = omega_probe(source, targets, args.horizon, args.bits)
     _emit({"hits": [{"target": str(t), "first_hit": k} for t, k in hits]}, args)
 
@@ -151,8 +158,7 @@ def cmd_validate(args):
 def cmd_rotset(args):
     nu = Fraction(args.nu)
     if not 0 <= nu < 1:
-        print("rotset: --nu must lie in [0, 1)", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(args, "--nu must lie in [0, 1)")
     _emit(minimal_rotation_set(nu).to_json(), args)
 
 
@@ -173,7 +179,7 @@ def cmd_lamination(args):
 
 def cmd_ray(args):
     params = Params(c=_complex(args.c))
-    path = trace_ray(params, _angle(args.t), level_min=args.level_min)
+    path = trace_ray(params, Angle.parse(args.t), level_min=args.level_min)
     _emit(
         {
             "angle": args.t,
@@ -367,10 +373,7 @@ def run(argv=None) -> int:
         parser.error("named towers need --depth")
     try:
         _HANDLERS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (DomainError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

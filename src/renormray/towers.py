@@ -10,11 +10,11 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import (
+    HALF,
     Angle,
     Arc,
     ArcSet,
@@ -25,9 +25,7 @@ from .circle import (
     double,
     sigma_pow,
 )
-from .lamination import linked, orbit_chords
-
-HALF = Fraction(1, 2)
+from .lamination import orbit_chords, verify_unlinked
 
 
 @dataclass(frozen=True)
@@ -186,9 +184,11 @@ def window_at(pair: RayPair, j: int) -> ArcSet:
     """s_{n,j} = sigma^(j-1)(s_{n,1}): two arcs of length Delta_{n,j} < 1/2."""
     t_j, t1_j, tt1_j, tt_j = window_endpoints(pair, j)
     delta = window_length(pair, j)
-    assert delta < HALF
+    if not delta < HALF:
+        raise ValueError("inconsistent pair: window component length is not below 1/2")
     # sigma^(j-1) is injective on each component, so images are plain arcs
-    assert t1_j == t_j + delta and tt_j == tt1_j + delta
+    if not (t1_j == t_j + delta and tt_j == tt1_j + delta):
+        raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
     s = ArcSet([Arc(t_j, delta), Arc(tt1_j, delta)])
     if len(s) != 2:
         raise ValueError("window components are not disjoint")
@@ -197,21 +197,10 @@ def window_at(pair: RayPair, j: int) -> ArcSet:
 
 @dataclass(frozen=True)
 class Subwindow:
-    """The four endpoint-adjacent 1-windows of s_{n,j}, with labels.
-
-    extras holds intersection components of s_{n,j} with its sigma^(-p) preimage
-    that are not adjacent to the endpoints; they exist as soon as the window
-    image wraps the circle, are not part of the sub-window, and are enumerated
-    only while their count stays tractable (extras_enumerated says whether).
-    """
+    """The four endpoint-adjacent 1-windows of s_{n,j}, with labels."""
 
     labeled: dict
     arcs: ArcSet
-    extras: ArcSet | None
-    extras_enumerated: bool
-
-
-_EXTRA_ENUM_CAP = 4096
 
 
 def subwindow(pair: RayPair, j: int) -> Subwindow:
@@ -245,35 +234,7 @@ def subwindow(pair: RayPair, j: int) -> Subwindow:
     arcs = ArcSet(labeled.values())
     if len(arcs) != 4:
         raise ValueError("inconsistent pair: expected four sub-window components")
-    extras, enumerated = _subwindow_extras(pair, j, labeled, windows)
-    return Subwindow(labeled, arcs, extras, enumerated)
-
-
-def _subwindow_extras(pair, j, labeled, windows):
-    """Exhaustive components of s_{n,j} n sigma^(-p)(s_{n,j}) minus the four."""
-    p = pair.period
-    delta = window_length(pair, j)
-    wraps = delta * (1 << p)
-    if wraps > _EXTRA_ENUM_CAP:
-        return None, False
-    comps = []
-    for warc in windows.values():
-        a = warc.start.frac
-        img_lo = sigma_pow(warc.start, p).frac
-        img_hi = img_lo + wraps
-        for tarc in windows.values():
-            g = tarc.start.frac
-            m_min = math.ceil(img_lo - g - delta)
-            m_max = math.floor(img_hi - g)
-            for m in range(m_min, m_max + 1):
-                lo = max(img_lo, g + m)
-                hi = min(img_hi, g + m + delta)
-                if hi > lo:
-                    comps.append(Arc(Angle(a + (lo - img_lo) / (1 << p)), (hi - lo) / (1 << p)))
-    allset = ArcSet(comps)
-    four = set(labeled.values())
-    extras = [c for c in allset.components if c not in four]
-    return ArcSet(extras), True
+    return Subwindow(labeled, arcs)
 
 
 def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
@@ -281,14 +242,15 @@ def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
 
     Checks sigma^(k p_n)(t) in s^1_{n,j} over the whole (finite) sigma^(p_n)
     orbit of t.  For j = 1 the equivalent criterion through s_{n,1} is
-    asserted to agree.
+    checked to agree.
     """
     pair = comb.level(n)
     s1 = subwindow(pair, j).arcs
     result = _itinerary_stays(t, pair.period, s1)
     if j == 1:
         alt = _itinerary_stays(t, pair.period, window(pair).s)
-        assert alt == result, "s_{n,1} and s^1_{n,1} shadow criteria disagree"
+        if alt != result:
+            raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
 
 
@@ -321,7 +283,8 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
         raise ValueError("depth exceeds tower size")
     for n in range(1, comb.depth):
         a, b = comb.level(n), comb.level(n + 1)
-        assert window_length(b, 1) < window_length(a, 1)
+        if not window_length(b, 1) < window_length(a, 1):
+            raise ValueError(f"window components do not shrink from level {n} to level {n + 1}")
 
     def left(m: int) -> tuple[Fraction, Fraction]:
         pair = comb.level(m)
@@ -423,7 +386,8 @@ def _half_windows(pair: RayPair) -> tuple[Arc, Arc]:
     else:
         raise ValueError("pair is not a valid renormalization pair: no half-window marker")
     # the half-windows are exactly the components of s_{n,p_n}
-    assert {s0, s0p} == set(window_at(pair, pair.period).components)
+    if {s0, s0p} != set(window_at(pair, pair.period).components):
+        raise ValueError("inconsistent pair: half-windows are not the components of s_{n,p_n}")
     return s0, s0p
 
 
@@ -434,7 +398,7 @@ def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     1 on S'_{n,0}; exact because the itinerary of a rational t is eventually
     periodic.  Orbits meeting the boundary of the two half-windows are flagged
     (eps = 0 is used there as a tie-break).  The exact semiconjugacy identity
-    theta(sigma^p(t)) = 2 theta(t) is asserted before returning.
+    theta(sigma^p(t)) = 2 theta(t) is checked before returning.
     """
     pair = comb.level(n)
     if not in_shadow(t, comb, n, pair.period):
@@ -442,7 +406,8 @@ def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     s0, s0p = _half_windows(pair)
     value, flagged = _theta_value(t, pair.period, s0, s0p)
     check, _ = _theta_value(sigma_pow(t, pair.period), pair.period, s0, s0p)
-    assert check == double(value), "semiconjugacy identity failed"
+    if check != double(value):
+        raise ValueError("semiconjugacy identity failed")
     return ThetaResult(value, flagged)
 
 
@@ -569,14 +534,8 @@ def validate(comb: Tower) -> ValidationReport:
                 if interior.interior_contains(point):
                     bad.append(f"sigma^{k} hits {point}")
         add("orbit_exclusion", n, not bad, "; ".join(bad))
-        chords = orbit_chords(pair)
-        bad = [
-            f"{c} x {d}"
-            for i, c in enumerate(chords)
-            for d in chords[i + 1:]
-            if linked(c, d)
-        ]
-        add("unlinked_chords", n, not bad, "; ".join(bad))
+        witnesses = verify_unlinked(orbit_chords(pair))["witnesses"]
+        add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
         s_set = ArcSet([Arc(pair.lo, pair.width)])
         bad = []
         a, b = pair.lo, pair.hi
@@ -590,15 +549,8 @@ def validate(comb: Tower) -> ValidationReport:
                 bad.append(f"k={k}: avoiding arc shorter than S_n")
         add("min_length_2inf", n, not bad, "; ".join(bad))
     # cross-level unlinking
-    all_chords = []
-    usable = all(pair_ok)
-    if usable:
-        for pair in comb.levels:
-            all_chords.extend(orbit_chords(pair))
-        bad = []
-        for i, c in enumerate(all_chords):
-            for d in all_chords[i + 1:]:
-                if linked(c, d):
-                    bad.append(f"{c} x {d}")
-        add("unlinked_across_levels", 0, not bad, "; ".join(bad[:5]))
+    if all(pair_ok):
+        all_chords = [c for pair in comb.levels for c in orbit_chords(pair)]
+        witnesses = verify_unlinked(all_chords)["witnesses"]
+        add("unlinked_across_levels", 0, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses[:5]))
     return ValidationReport(tuple(entries))

@@ -131,3 +131,127 @@ def test_stdout_determinism(capsys):
     _, out1 = invoke(capsys, "window", "--tower", "rabbit", "--depth", "2", "--level", "2", "--j", "3")
     _, out2 = invoke(capsys, "window", "--tower", "rabbit", "--depth", "2", "--level", "2", "--j", "3")
     assert out1 == out2
+
+
+MALFORMED_TOWERS = [
+    '[{"period": 2, "lo": "1/3"}]',
+    '[{"period": 2, "hi": "2/3"}]',
+    '[{"lo": "1/3", "hi": "2/3"}]',
+    "[{period: 2}]",
+    '{"period": 2, "lo": "1/3", "hi": "2/3"}',
+    "[1, 2]",
+    "3",
+    '[{"period": "two", "lo": "1/3", "hi": "2/3"}]',
+    '[{"period": 2, "lo": "1/0", "hi": "2/3"}]',
+    '[{"period": 2, "lo": [1, 3], "hi": "2/3"}]',
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["shadow", "--tower", "feigenbaum", "--depth", "2", "--level", "1", "--j", "1"]]
+    + [["tower", "--tower", tower] for tower in MALFORMED_TOWERS],
+)
+def test_usage_error_prints_one_line(capsys, argv):
+    # shadow without --t, and --tower JSON that is not a list of {period, lo, hi}
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+# stdout of three exact subcommands, byte for byte
+WINDOW_2_3 = """\
+{
+  "components": [
+    {
+      "length": "1/20",
+      "start": "7/20"
+    },
+    {
+      "length": "1/20",
+      "start": "3/5"
+    }
+  ],
+  "j": 3,
+  "level": 2
+}
+"""
+
+SUBWINDOW_2_3 = """\
+{
+  "components": [
+    {
+      "length": "1/320",
+      "start": "7/20"
+    },
+    {
+      "length": "1/320",
+      "start": "127/320"
+    },
+    {
+      "length": "1/320",
+      "start": "3/5"
+    },
+    {
+      "length": "1/320",
+      "start": "207/320"
+    }
+  ],
+  "j": 3,
+  "labels": {
+    "hi_inner": {
+      "length": "1/320",
+      "start": "7/20"
+    },
+    "hi_outer": {
+      "length": "1/320",
+      "start": "127/320"
+    },
+    "lo_inner": {
+      "length": "1/320",
+      "start": "207/320"
+    },
+    "lo_outer": {
+      "length": "1/320",
+      "start": "3/5"
+    }
+  },
+  "level": 2
+}
+"""
+
+KC_SHADOW_8 = """\
+{
+  "bits": 16,
+  "s": [
+    {
+      "length": "59580697294650083747194059426068878125/39402006196394479212279040100143613805195531359702762863371864389254409679350480596079906818924373224814541119946752",
+      "start": "140350834813144189858090274002849666666/340282366920938463463374607431768211457"
+    },
+    {
+      "length": "59580697294650083747194059426068878125/39402006196394479212279040100143613805195531359702762863371864389254409679350480596079906818924373224814541119946752",
+      "start": "23150489807179062668020697250696554590917602689303554660255614365629385110288680181632115270138177722532452849495251/39402006196394479212279040100143613805195531359702762863371864389254409679350480596079906818924373224814541119946752"
+    }
+  ],
+  "tau1": "13515/32768",
+  "tau2": "38505/65536"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["window", "--tower", "feigenbaum", "--depth", "2", "--level", "2", "--j", "3"], WINDOW_2_3),
+        (["window", "--tower", "feigenbaum", "--depth", "2", "--level", "2", "--j", "3", "--sub"], SUBWINDOW_2_3),
+        (["shadow", "--tower", "feigenbaum", "--depth", "8", "--kc", "--bits", "16"], KC_SHADOW_8),
+    ],
+    ids=["window", "window_sub", "shadow_kc"],
+)
+def test_stdout_is_pinned(capsys, argv, expected):
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    assert out == expected

@@ -155,6 +155,13 @@ def test_shadow_kc_limits():
     assert shad.tau1.refine(8) + shad.tau2.refine(8) in (Angle(0), Angle(1, 256), Angle(255, 256))
 
 
+def test_shadow_kc_rejects_growing_windows():
+    # rabbit level over basilica level: window components 1/56, then 1/12
+    comb = Tower((RayPair(3, Angle(1, 7), Angle(2, 7)), RayPair(2, Angle(1, 3), Angle(2, 3))))
+    with pytest.raises(ValueError, match="do not shrink"):
+        shadow_Kc(comb, 1)
+
+
 def test_component_shadow_critical():
     comb = feigenbaum_tower(3)
     addr = ComponentAddress.critical(comb, 3)
@@ -196,3 +203,54 @@ def test_validate_flags_nonperiodic_pair():
     bad = Tower((RayPair(2, Angle(1, 5), Angle(2, 3)),))
     report = validate(bad)
     assert any(e.check == "pair_periodic" and not e.passed for e in report.entries)
+
+
+SPLICED_REPORT = [
+    {"check": "pair_periodic", "level": 1, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 1, "pass": True, "witness": "width 1/3"},
+    {"check": "pair_periodic", "level": 2, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 2, "pass": True, "witness": "width 1/7"},
+    {"check": "period_divisibility", "level": 2, "pass": False, "witness": "3 over 2"},
+    {"check": "nesting_S", "level": 2, "pass": False, "witness": "[1/7,2/7] in [1/3,2/3]"},
+    {"check": "nesting_s", "level": 2, "pass": False, "witness": "s_{n+1,1} in s_{n,1}"},
+    {"check": "orbit_exclusion", "level": 1, "pass": True, "witness": ""},
+    {"check": "unlinked_chords", "level": 1, "pass": True, "witness": ""},
+    {"check": "min_length_2inf", "level": 1, "pass": True, "witness": ""},
+    {"check": "orbit_exclusion", "level": 2, "pass": True, "witness": ""},
+    {"check": "unlinked_chords", "level": 2, "pass": True, "witness": ""},
+    {"check": "min_length_2inf", "level": 2, "pass": True, "witness": ""},
+    {
+        "check": "unlinked_across_levels",
+        "level": 0,
+        "pass": False,
+        "witness": "Chord(1/3, 2/3) x Chord(2/7, 4/7); Chord(1/3, 2/3) x Chord(1/7, 4/7)",
+    },
+]
+
+SELF_LINKED_WITNESS = "Chord(1/15, 1/5) x Chord(2/15, 2/5); Chord(2/15, 2/5) x Chord(4/15, 4/5)"
+SELF_LINKED_REPORT = [
+    {"check": "pair_periodic", "level": 1, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 1, "pass": True, "witness": "width 2/15"},
+    {"check": "orbit_exclusion", "level": 1, "pass": False, "witness": "sigma^1 hits 2/15"},
+    {"check": "unlinked_chords", "level": 1, "pass": False, "witness": SELF_LINKED_WITNESS},
+    {
+        "check": "min_length_2inf",
+        "level": 1,
+        "pass": False,
+        "witness": "k=1: no arc avoids S_n interior; k=3: avoiding arc shorter than S_n",
+    },
+    {"check": "unlinked_across_levels", "level": 0, "pass": False, "witness": SELF_LINKED_WITNESS},
+]
+
+
+@pytest.mark.parametrize(
+    "levels, expected",
+    [
+        ((RayPair(2, Angle(1, 3), Angle(2, 3)), RayPair(3, Angle(1, 7), Angle(2, 7))), SPLICED_REPORT),
+        ((RayPair(4, Angle(1, 15), Angle(3, 15)),), SELF_LINKED_REPORT),
+    ],
+    ids=["spliced", "self_linked"],
+)
+def test_validate_report_is_pinned(levels, expected):
+    # the full report: every check, its order, and the witnesses with their order
+    assert validate(Tower(levels)).to_json() == expected
