@@ -45,7 +45,6 @@ from .towers import (
     ThetaResult,
     Tower,
     ValidationReport,
-    Window,
     feigenbaum_tower,
     in_shadow,
     omega_probe,
@@ -58,7 +57,6 @@ from .towers import (
     theta,
     tune,
     validate,
-    window,
     window_at,
     window_endpoints,
     window_length,

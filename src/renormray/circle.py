@@ -109,6 +109,8 @@ def sigma_pow(t: Angle, m: int) -> Angle:
     """m-fold doubling, computed with a modular power (fast for huge m)."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    if m == 0:
+        return t
     den = t.frac.denominator
     return Angle((t.frac.numerator * pow(2, m, den)) % den, den)
 
@@ -293,9 +295,6 @@ class ArcSet:
 
     def contains(self, t: Angle) -> bool:
         return any(a.contains(t) for a in self.arcs)
-
-    def interior_contains(self, t: Angle) -> bool:
-        return any(a.interior_contains(t) for a in self.arcs)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
         """Closed intersection; degenerate single-point overlaps are dropped."""

@@ -1,8 +1,10 @@
 """Command-line entry point: one subcommand per operation family.
 
 Exit codes: 0 success, 1 domain error (invalid tower, failed validation,
-non-landing ray), 2 usage error.  Machine output goes to stdout as JSON
-(sorted keys, so byte-identical across runs) unless --out names a file.
+non-landing ray) or a file that cannot be read or written, 2 usage error
+(including a flag value or scene that does not parse).  Machine output goes
+to stdout as JSON (sorted keys, so byte-identical across runs) unless --out
+names a file.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .lamination import build, export_svg, verify_unlinked
 from .plane import (
     Params,
     beta_point,
-    feigenbaum_parameter,
     green,
     periodic_points,
     telescope_check,
@@ -38,7 +39,6 @@ from .towers import (
     subwindow,
     theta,
     validate,
-    window,
     window_at,
 )
 
@@ -56,12 +56,12 @@ def _tower(args) -> Tower:
         return feigenbaum_tower(args.depth)
     if args.tower == "rabbit":
         return rabbit_tower(args.depth)
-    try:
-        data = json.loads(args.tower)
-        levels = [RayPair(int(lv["period"]), Angle.parse(lv["lo"]), Angle.parse(lv["hi"])) for lv in data]
-    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
-        _usage_error(args, f"--tower is not a JSON list of {{period, lo, hi}} objects: {exc!r}")
+    levels = _parse(args, "tower", _tower_levels)
     return Tower(tuple(levels[: args.depth] if args.depth else levels))
+
+
+def _tower_levels(text: str) -> list[RayPair]:
+    return [RayPair(int(lv["period"]), Angle.parse(lv["lo"]), Angle.parse(lv["hi"])) for lv in json.loads(text)]
 
 
 def _add_tower_flags(p, need_level=False):
@@ -84,6 +84,15 @@ def _emit(obj, args) -> None:
 def _usage_error(args, message: str) -> NoReturn:
     print(f"{args.command}: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _parse(args, flag: str, convert):
+    """convert(value of --flag); a value that does not convert is a usage error."""
+    value = getattr(args, flag)
+    try:
+        return convert(value)
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        _usage_error(args, f"--{flag} {value!r} does not parse: {exc!r}")
 
 
 def _arc_json(arc) -> dict:
@@ -130,20 +139,20 @@ def cmd_shadow(args):
             args,
         )
         return
-    result = in_shadow(Angle.parse(args.t), comb, args.level, args.j)
+    result = in_shadow(_parse(args, "t", Angle.parse), comb, args.level, args.j)
     _emit({"t": args.t, "level": args.level, "j": args.j, "in_shadow": result}, args)
 
 
 def cmd_theta(args):
     comb = _tower(args)
-    res = theta(comb, args.level, Angle.parse(args.t))
+    res = theta(comb, args.level, _parse(args, "t", Angle.parse))
     _emit({"t": args.t, "level": args.level, "value": str(res.value), "boundary_collapse": res.boundary_collapse}, args)
 
 
 def cmd_omega(args):
     comb = _tower(args)
     source = shadow_Kc(comb, comb.depth).tau1
-    targets = [Angle.parse(t) for t in args.targets]
+    targets = _parse(args, "targets", lambda texts: [Angle.parse(t) for t in texts])
     hits = omega_probe(source, targets, args.horizon, args.bits)
     _emit({"hits": [{"target": str(t), "first_hit": k} for t, k in hits]}, args)
 
@@ -156,7 +165,7 @@ def cmd_validate(args):
 
 
 def cmd_rotset(args):
-    nu = Fraction(args.nu)
+    nu = _parse(args, "nu", Fraction)
     if not 0 <= nu < 1:
         _usage_error(args, "--nu must lie in [0, 1)")
     _emit(minimal_rotation_set(nu).to_json(), args)
@@ -178,8 +187,8 @@ def cmd_lamination(args):
 
 
 def cmd_ray(args):
-    params = Params(c=_complex(args.c))
-    path = trace_ray(params, Angle.parse(args.t), level_min=args.level_min)
+    params = Params(c=_parse(args, "c", _complex))
+    path = trace_ray(params, _parse(args, "t", Angle.parse), level_min=args.level_min)
     _emit(
         {
             "angle": args.t,
@@ -198,12 +207,12 @@ def cmd_ray(args):
 
 
 def cmd_green(args):
-    params = Params(c=_complex(args.c))
-    _emit({"z": args.z, "green": green(params, _complex(args.z))}, args)
+    params = Params(c=_parse(args, "c", _complex))
+    _emit({"z": args.z, "green": green(params, _parse(args, "z", _complex))}, args)
 
 
 def cmd_periodic(args):
-    params = Params(c=_complex(args.c))
+    params = Params(c=_parse(args, "c", _complex))
     pts = periodic_points(params, args.m)
     _emit(
         {"m": args.m, "points": [{"z": [z.real, z.imag], "multiplier": [w.real, w.imag]} for z, w in pts]},
@@ -212,7 +221,7 @@ def cmd_periodic(args):
 
 
 def cmd_beta(args):
-    params = Params(c=_complex(args.c))
+    params = Params(c=_parse(args, "c", _complex))
     res = beta_point(params, _tower(args), args.level)
     _emit(
         {
@@ -226,9 +235,9 @@ def cmd_beta(args):
 
 
 def cmd_telescope(args):
-    params = Params(c=_complex(args.c))
-    times = [int(s) for s in args.times.split(",")]
-    report = telescope_check(params, _complex(args.x), args.r, args.kappa, args.delta, times)
+    params = Params(c=_parse(args, "c", _complex))
+    times = _parse(args, "times", lambda text: [int(s) for s in text.split(",")])
+    report = telescope_check(params, _parse(args, "x", _complex), args.r, args.kappa, args.delta, times)
     _emit(
         {
             "pass": report.passed,
@@ -252,10 +261,15 @@ def cmd_telescope(args):
     )
 
 
+def _render_file(path: str) -> bytes:
+    with open(path) as fh:
+        return render_scene(json.load(fh))
+
+
 def cmd_render(args):
-    with open(args.scene) as fh:
-        scene = json.load(fh)
-    data = render_scene(scene)
+    # an unreadable file is an OSError (exit 1); a scene that does not decode
+    # or lacks a key is a usage error
+    data = _parse(args, "scene", _render_file)
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(json.dumps({"out": args.out, "bytes": len(data)}, sort_keys=True))
@@ -373,7 +387,7 @@ def run(argv=None) -> int:
         parser.error("named towers need --depth")
     try:
         _HANDLERS[args.command](args)
-    except (DomainError, ValueError, ArithmeticError) as exc:
+    except (DomainError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -17,7 +17,6 @@ from .circle import Angle, sigma_pow
 @dataclass(frozen=True)
 class Params:
     c: complex
-    epsilon: float = 1e-12
     max_iter: int = 2048
 
     @property

@@ -14,30 +14,17 @@ A scene is a plain dict (also the CLI JSON schema):
         {"type": "points", "points": [[re, im], ...], "radius": 3, "color": [..]}
       ]
     }
-
-Parallelism over pixel rows respects the RENORM_RAYS_THREADS environment
-variable (default 1); output bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from .circle import Angle
 from .plane import Params, green, trace_ray
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RENORM_RAYS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _grid(scene):
@@ -49,10 +36,10 @@ def _grid(scene):
     return w, h, xs, ys, scale / w
 
 
-def _escape_rows(c, xs, ys, rows, max_iter):
-    out = np.zeros((len(rows), len(xs)), dtype=np.float64)
-    for i, r in enumerate(rows):
-        z = xs + 1j * ys[r]
+def _escape_rows(c, xs, ys, max_iter):
+    out = np.zeros((len(ys), len(xs)), dtype=np.float64)
+    for i, y in enumerate(ys):
+        z = xs + 1j * y
         n = np.zeros(z.shape, dtype=np.int32)
         alive = np.ones(z.shape, dtype=bool)
         zz = z.copy()
@@ -115,17 +102,7 @@ def render(scene: dict) -> bytes:
         kind = layer["type"]
         if kind == "julia":
             max_iter = int(layer.get("max_iter", 256))
-            rows = list(range(h))
-            nthreads = _thread_count()
-            if nthreads == 1:
-                field = _escape_rows(c, xs, ys, rows, max_iter)
-            else:
-                chunks = [rows[i::nthreads] for i in range(nthreads)]
-                with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                    parts = list(pool.map(lambda ch: _escape_rows(c, xs, ys, ch, max_iter), chunks))
-                field = np.zeros((h, w))
-                for ch, part in zip(chunks, parts):
-                    field[ch] = part
+            field = _escape_rows(c, xs, ys, max_iter)
             interior = field == 0
             inside = np.array(layer.get("interior_color", [0, 0, 0]), dtype=np.uint8)
             shade = (255.0 * (1.0 - np.exp(-0.08 * field))).astype(np.uint8)

@@ -23,9 +23,7 @@ from .towers import (
     subwindow,
     theta,
     tune,
-    window,
     window_at,
-    window_endpoints,
     window_length,
 )
 
@@ -62,19 +60,19 @@ def check_rotation_oracle(qmax: int = 12) -> Check:
 
 
 def check_window_algebra(depth: int = 6) -> Check:
-    """Window nesting, exact component lengths, and four-component
+    """Nesting of windows, exact component lengths, and four-component
     sub-windows with sigma^p endpoint checks, on the period-doubling tower."""
     comb = feigenbaum_tower(depth)
     for n in range(1, depth):
         a, b = comb.level(n), comb.level(n + 1)
         if not (a.lo < b.lo and b.hi < a.hi):
             return Check("window_algebra", False, f"level {n + 1} sector not inside level {n}")
-        if not window(b).s.is_subset_of(window(a).s):
+        if not window_at(b, 1).is_subset_of(window_at(a, 1)):
             return Check("window_algebra", False, f"s at level {n + 1} not inside s at level {n}")
     for n in range(1, depth + 1):
         pair = comb.level(n)
         p = pair.period
-        for comp in window(pair).s.components:
+        for comp in window_at(pair, 1).components:
             if comp.length != pair.width / (1 << p):
                 return Check("window_algebra", False, f"level {n}: wrong component length")
         for j in range(1, p + 1):
@@ -152,7 +150,7 @@ def check_shadow_consistency(samples: int = 50, levels: int = 4, seed: int = 426
     for n in range(1, levels + 1):
         pair = comb.level(n)
         s1 = subwindow(pair, 1).arcs
-        s = window(pair).s
+        s = window_at(pair, 1)
         for t in angles:
             via_sub = _itinerary_stays(t, pair.period, s1)
             via_window = _itinerary_stays(t, pair.period, s)

@@ -141,36 +141,26 @@ def rabbit_tower(depth: int) -> Tower:
     return self_tuned_tower(RABBIT_PAIR, depth)
 
 
-@dataclass(frozen=True)
-class Window:
-    s: ArcSet
-    lo1: Angle
-    hi1: Angle
+def window_endpoints(pair: RayPair, j: int) -> tuple[Angle, Angle, Angle, Angle]:
+    """(t_j, t'_j, t~'_j, t~_j): the sigma^(j-1) images of the window endpoints.
 
-
-def window(pair: RayPair) -> Window:
-    """The two-arc window [t, t'] u [t~', t~] with t' = t + (t~ - t)/2^p."""
+    The window s_{n,1} is [t, t'] u [t~', t~] with t' = t + Delta and
+    t~' = t~ - Delta, Delta = (t~ - t)/2^p.  This is the one checked
+    derivation of a pair's windows: the pair is validated and sigma^p must
+    map t' to t~ and t~' to t exactly.
+    """
+    if not 1 <= j <= pair.period:
+        raise ValueError(f"j must lie in 1..{pair.period}")
     pair.require_valid()
-    delta = pair.width / (1 << pair.period)
+    delta = window_length(pair, 1)
     lo1 = pair.lo + delta
     hi1 = pair.hi - delta
     if sigma_pow(lo1, pair.period) != pair.hi or sigma_pow(hi1, pair.period) != pair.lo:
         raise ValueError("pair is not a valid renormalization pair: window endpoint check failed")
-    s = ArcSet([Arc(pair.lo, delta), Arc(hi1, delta)])
-    if len(s) != 2:
-        raise ValueError("pair is not a valid renormalization pair: window components merge")
-    return Window(s, lo1, hi1)
-
-
-def window_endpoints(pair: RayPair, j: int) -> tuple[Angle, Angle, Angle, Angle]:
-    """(t_j, t'_j, t~'_j, t~_j): the sigma^(j-1) images of the window endpoints."""
-    if not 1 <= j <= pair.period:
-        raise ValueError(f"j must lie in 1..{pair.period}")
-    w = window(pair)
     return (
         sigma_pow(pair.lo, j - 1),
-        sigma_pow(w.lo1, j - 1),
-        sigma_pow(w.hi1, j - 1),
+        sigma_pow(lo1, j - 1),
+        sigma_pow(hi1, j - 1),
         sigma_pow(pair.hi, j - 1),
     )
 
@@ -248,7 +238,7 @@ def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
     s1 = subwindow(pair, j).arcs
     result = _itinerary_stays(t, pair.period, s1)
     if j == 1:
-        alt = _itinerary_stays(t, pair.period, window(pair).s)
+        alt = _itinerary_stays(t, pair.period, window_at(pair, 1))
         if alt != result:
             raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
@@ -273,7 +263,7 @@ class KcShadow:
 
 
 def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
-    """Window s_{depth,1} containing the K_c shadow, plus the two limit angles.
+    """The window s_{depth,1} containing the K_c shadow, plus the two limit angles.
 
     tau1 = lim t_n and tau2 = lim t~_n are returned as nested-arc limits over
     the left and right window components; the component length at level n is
@@ -288,16 +278,16 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
 
     def left(m: int) -> tuple[Fraction, Fraction]:
         pair = comb.level(m)
-        return pair.lo.frac, pair.width / (1 << pair.period)
+        return pair.lo.frac, window_length(pair, 1)
 
     def right(m: int) -> tuple[Fraction, Fraction]:
         pair = comb.level(m)
-        d = pair.width / (1 << pair.period)
+        d = window_length(pair, 1)
         return (pair.hi - d).frac, d
 
     tau1 = LimitAngle(left, max_depth=comb.depth, label="tau1")
     tau2 = LimitAngle(right, max_depth=comb.depth, label="tau2")
-    return KcShadow(window(comb.level(depth)).s, tau1, tau2)
+    return KcShadow(window_at(comb.level(depth), 1), tau1, tau2)
 
 
 @dataclass(frozen=True)
@@ -518,7 +508,7 @@ def validate(comb: Tower) -> ValidationReport:
         nest_big = a.lo <= b.lo and b.hi <= a.hi and b.lo < b.hi
         add("nesting_S", n + 1, nest_big, f"[{b.lo},{b.hi}] in [{a.lo},{a.hi}]")
         try:
-            nest_small = window(b).s.is_subset_of(window(a).s)
+            nest_small = window_at(b, 1).is_subset_of(window_at(a, 1))
         except ValueError as exc:
             nest_small, _ = False, exc
         add("nesting_s", n + 1, nest_small, "s_{n+1,1} in s_{n,1}")

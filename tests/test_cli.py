@@ -147,19 +147,85 @@ MALFORMED_TOWERS = [
 ]
 
 
+MALFORMED_VALUES = [
+    ["rotset", "--nu", "abc"],
+    ["rotset", "--nu", "1/0"],
+    ["ray", "--c", "abc", "--t", "1/3"],
+    ["ray", "--c", "-1", "--t", "1/0"],
+    ["theta", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--t", "abc"],
+    ["theta", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--t", "1/0"],
+    ["shadow", "--tower", "feigenbaum", "--depth", "1", "--t", "x/y"],
+    ["green", "--c", "0", "--z", "zz"],
+    ["periodic", "--c", "abc", "--m", "2"],
+    ["beta", "--c", "abc", "--tower", "feigenbaum", "--depth", "1", "--level", "1"],
+    ["omega", "--tower", "feigenbaum", "--depth", "2", "--targets", "x/y"],
+    ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01", "--times", "0,a"],
+    ["telescope", "--c", "-2", "--x", "two", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01", "--times", "0,1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["shadow", "--tower", "feigenbaum", "--depth", "2", "--level", "1", "--j", "1"]]
-    + [["tower", "--tower", tower] for tower in MALFORMED_TOWERS],
+    + [["tower", "--tower", tower] for tower in MALFORMED_TOWERS]
+    + MALFORMED_VALUES,
 )
 def test_usage_error_prints_one_line(capsys, argv):
-    # shadow without --t, and --tower JSON that is not a list of {period, lo, hi}
+    # shadow without --t, --tower JSON that is not a list of {period, lo, hi},
+    # and flag values that do not parse
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+MALFORMED_SCENES = [
+    "{not json",
+    "[1, 2]",
+    '"scene"',
+    '{"width": 8, "height": 8}',
+    '{"c": 3, "width": 8, "height": 8}',
+    '{"c": [0, 0], "width": 8, "height": 8, "layers": [{"max_iter": 5}]}',
+    '{"c": [0, 0], "width": 8, "height": 8, "layers": [{"type": "points"}]}',
+    '{"c": [0, 0], "width": 8, "height": 8, "layers": [{"type": "equipotential"}]}',
+    '{"c": [0, 0], "width": 8, "height": 8, "layers": [{"type": "spiral"}]}',
+    '{"c": [0, 0], "width": 8, "height": 8, "layers": [3]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SCENES)
+def test_malformed_scene_is_usage_error(tmp_path, capsys, text):
+    scene = tmp_path / "scene.json"
+    scene.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["render", "--scene", str(scene), "--out", str(tmp_path / "img.ppm")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "img.ppm").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--scene", "{tmp}/missing.json", "--out", "{tmp}/img.ppm"],
+        ["render", "--scene", "{tmp}/scene.json", "--out", "{tmp}/no/such/dir/img.ppm"],
+        ["rotset", "--nu", "1/3", "--out", "{tmp}/no/such/dir/rot.json"],
+        ["validate", "--tower", "feigenbaum", "--depth", "2", "--out", "{tmp}/no/such/dir/v.json"],
+        ["lamination", "--tower", "feigenbaum", "--depth", "2", "--out", "{tmp}/no/such/dir/lam.svg"],
+    ],
+    ids=["render_scene", "render_out", "rotset_out", "validate_out", "lamination_out"],
+)
+def test_file_error_exits_1(tmp_path, capsys, argv):
+    (tmp_path / "scene.json").write_text(json.dumps({"c": [0, 0], "width": 8, "height": 8}))
+    code = run([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 # stdout of three exact subcommands, byte for byte

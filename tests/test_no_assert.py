@@ -4,13 +4,35 @@ from pathlib import Path
 import renormray
 
 
+def package_modules():
+    package = Path(renormray.__file__).parent
+    return [(path, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
+
+
 def test_no_assert_statements_in_package():
     # correctness checks must raise real errors, so they still run under python -O
-    package = Path(renormray.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for path, tree in package_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert not found, found
+
+
+def test_every_import_is_read():
+    # an import that nothing reads is dead code; __init__.py imports to re-export
+    found = []
+    for path, tree in package_modules():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found

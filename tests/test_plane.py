@@ -182,12 +182,3 @@ def test_render_deterministic_and_ppm():
     assert d1 == d2
     assert d1.startswith(b"P6\n40 30\n255\n")
     assert len(d1) == len(b"P6\n40 30\n255\n") + 40 * 30 * 3
-
-
-def test_render_thread_count_invariance(monkeypatch):
-    scene = {"c": [-1.0, 0.0], "width": 32, "height": 32, "layers": [{"type": "julia", "max_iter": 30}]}
-    monkeypatch.setenv("RENORM_RAYS_THREADS", "1")
-    one = render(scene)
-    monkeypatch.setenv("RENORM_RAYS_THREADS", "3")
-    three = render(scene)
-    assert one == three

@@ -19,7 +19,6 @@ from renormray.towers import (
     theta,
     tune,
     validate,
-    window,
     window_at,
     window_endpoints,
     window_length,
@@ -54,17 +53,18 @@ def test_tune_substitutes_words():
 
 
 def test_window_first_level():
-    w = window(feigenbaum_tower(1).level(1))
-    comps = w.s.components
+    pair = feigenbaum_tower(1).level(1)
+    comps = window_at(pair, 1).components
     assert [(str(a.start), str(a.end)) for a in comps] == [("1/3", "5/12"), ("7/12", "2/3")]
-    assert w.lo1 == Angle(5, 12) and w.hi1 == Angle(7, 12)
+    _, lo1, hi1, _ = window_endpoints(pair, 1)
+    assert lo1 == Angle(5, 12) and hi1 == Angle(7, 12)
 
 
 def test_window_endpoint_dynamics():
     for pair in feigenbaum_tower(4).levels:
-        w = window(pair)
-        assert sigma_pow(w.lo1, pair.period) == pair.hi
-        assert sigma_pow(w.hi1, pair.period) == pair.lo
+        _, lo1, hi1, _ = window_endpoints(pair, 1)
+        assert sigma_pow(lo1, pair.period) == pair.hi
+        assert sigma_pow(hi1, pair.period) == pair.lo
 
 
 def test_window_at_length_formula():
@@ -100,9 +100,16 @@ def test_subwindow_maps_onto_windows():
 
 
 def test_invalid_pair_rejected():
-    bad = RayPair(2, Angle(1, 5), Angle(2, 3))
-    with pytest.raises(ValueError):
-        window(bad)
+    bad_pairs = [
+        RayPair(2, Angle(1, 5), Angle(2, 3)),  # 1/5 is not fixed by sigma^2
+        RayPair(2, Angle(2, 3), Angle(1, 3)),  # swapped
+        RayPair(3, Angle(1, 7), Angle(6, 7)),  # width 5/7 >= 1/2
+    ]
+    for bad in bad_pairs:
+        for j in range(1, bad.period + 1):
+            for derive in (window_endpoints, window_at, subwindow):
+                with pytest.raises(ValueError):
+                    derive(bad, j)
 
 
 def test_shadow_examples():
