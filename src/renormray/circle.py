@@ -28,7 +28,10 @@ class Angle:
     __slots__ = ("frac",)
 
     def __init__(self, value=0, den=None):
-        object.__setattr__(self, "frac", _as_fraction(value, den) % 1)
+        frac = _as_fraction(value, den)
+        if not 0 <= frac.numerator < frac.denominator:  # a value already in [0, 1) is kept as is
+            frac %= 1
+        object.__setattr__(self, "frac", frac)
 
     def __setattr__(self, *a):
         raise AttributeError("Angle is immutable")

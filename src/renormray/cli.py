@@ -10,6 +10,7 @@ names a file.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -48,7 +49,10 @@ class DomainError(Exception):
 
 
 def _complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    z = complex(text.replace(" ", "").replace("i", "j"))
+    if not cmath.isfinite(z):
+        raise ValueError(f"{text!r} is not a finite complex number")
+    return z
 
 
 def _tower(args) -> Tower:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,14 +48,24 @@ def linked(c1: Chord, c2: Chord) -> bool:
 
 def orbit_chords(pair) -> list[Chord]:
     """Distinct chords {sigma^k(lo), sigma^k(hi)}, k = 0..period-1."""
-    seen = []
+    seen: dict[Chord, None] = {}
     a, b = pair.lo, pair.hi
     for _ in range(pair.period):
-        c = Chord(a, b)
-        if c not in seen:
-            seen.append(c)
+        seen.setdefault(Chord(a, b))
         a, b = double(a), double(b)
-    return seen
+    return list(seen)
+
+
+def _crosses(ends: list, partners: list, chord: Chord) -> bool:
+    """True iff chord crosses a chord of the sorted endpoint list.
+
+    ends is sorted and partners[k] is the other endpoint of the chord that
+    owns ends[k].  A family chord crosses (a, b) exactly when it has an
+    endpoint strictly inside (a, b) and its other endpoint lies outside [a, b].
+    """
+    a, b = chord.a.frac, chord.b.frac
+    lo, hi = bisect_right(ends, a), bisect_left(ends, b)
+    return any(not a <= partners[k] <= b for k in range(lo, hi))
 
 
 def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
@@ -66,11 +77,20 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     """
     if depth > len(comb.levels):
         raise ValueError("depth exceeds tower size")
-    family: list[Chord] = []
+    family: dict[Chord, None] = {}  # insertion-ordered set
+    ends, partners = [], []  # sorted endpoints of family, each with its chord's other endpoint
+
+    def add(c: Chord) -> None:
+        family[c] = None
+        for x, y in ((c.a.frac, c.b.frac), (c.b.frac, c.a.frac)):
+            k = bisect_left(ends, x)
+            ends.insert(k, x)
+            partners.insert(k, y)
+
     for pair in comb.levels[:depth]:
         for c in orbit_chords(pair):
             if c not in family:
-                family.append(c)
+                add(c)
     frontier = list(family)
     for _ in range(preimage_depth):
         new_frontier = []
@@ -83,29 +103,43 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
             )
             placed = None
             for cand in pairings:
-                ok = all(not linked(c, d) for c in cand for d in family) and not linked(*cand)
-                if ok:
+                if not any(_crosses(ends, partners, c) for c in cand) and not linked(*cand):
                     placed = cand
                     break
             if placed is None:
                 raise ValueError(f"no unlinked preimage placement for {chord}")
             for c in placed:
                 if c not in family:
-                    family.append(c)
+                    add(c)
                     new_frontier.append(c)
         frontier = new_frontier
     return tuple(sorted(family, key=lambda c: (c.a.frac, c.b.frac)))
 
 
 def verify_unlinked(family) -> dict:
-    """All-pairs linkage scan; failures are returned as witness pairs."""
+    """Linkage scan of a chord family; failures are returned as witness pairs.
+
+    The family is pairwise unlinked exactly when its sorted endpoints nest
+    like balanced parentheses.  At a shared point chords close before chords
+    open, the innermost (latest opened) closes first and the longest opens
+    first; the index orders duplicate chords.  Only a family that fails this
+    sweep gets the all-pairs scan, which lists every linked pair in order.
+    """
     family = list(family)
-    witnesses = []
+    events = []
     for i, c in enumerate(family):
-        for d in family[i + 1:]:
-            if linked(c, d):
-                witnesses.append((c, d))
-    return {"pass": not witnesses, "witnesses": witnesses}
+        a, b = c.a.frac, c.b.frac
+        events.append((a, 1, -b, i))
+        events.append((b, 0, -a, -i))
+    events.sort()
+    stack = []
+    for _, opens, _, i in events:
+        if opens:
+            stack.append(i)
+        elif stack.pop() != -i:
+            witnesses = [(c, d) for j, c in enumerate(family) for d in family[j + 1:] if linked(c, d)]
+            return {"pass": False, "witnesses": witnesses}
+    return {"pass": True, "witnesses": []}
 
 
 def _point(t: Angle) -> tuple[float, float]:

@@ -512,6 +512,7 @@ def validate(comb: Tower) -> ValidationReport:
         except ValueError as exc:
             nest_small, _ = False, exc
         add("nesting_s", n + 1, nest_small, "s_{n+1,1} in s_{n,1}")
+    level_chords = []
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
@@ -524,7 +525,9 @@ def validate(comb: Tower) -> ValidationReport:
                 if interior.interior_contains(point):
                     bad.append(f"sigma^{k} hits {point}")
         add("orbit_exclusion", n, not bad, "; ".join(bad))
-        witnesses = verify_unlinked(orbit_chords(pair))["witnesses"]
+        chords = orbit_chords(pair)
+        level_chords.append(chords)
+        witnesses = verify_unlinked(chords)["witnesses"]
         add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
         s_set = ArcSet([Arc(pair.lo, pair.width)])
         bad = []
@@ -540,7 +543,7 @@ def validate(comb: Tower) -> ValidationReport:
         add("min_length_2inf", n, not bad, "; ".join(bad))
     # cross-level unlinking
     if all(pair_ok):
-        all_chords = [c for pair in comb.levels for c in orbit_chords(pair)]
+        all_chords = [c for chords in level_chords for c in chords]
         witnesses = verify_unlinked(all_chords)["witnesses"]
         add("unlinked_across_levels", 0, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses[:5]))
     return ValidationReport(tuple(entries))

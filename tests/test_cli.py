@@ -161,6 +161,9 @@ MALFORMED_VALUES = [
     ["omega", "--tower", "feigenbaum", "--depth", "2", "--targets", "x/y"],
     ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01", "--times", "0,a"],
     ["telescope", "--c", "-2", "--x", "two", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01", "--times", "0,1"],
+    ["green", "--c", "0", "--z", "1e400"],
+    ["green", "--c", "nan", "--z", "1"],
+    ["ray", "--c", "1e400", "--t", "1/3"],
 ]
 
 
@@ -172,7 +175,7 @@ MALFORMED_VALUES = [
 )
 def test_usage_error_prints_one_line(capsys, argv):
     # shadow without --t, --tower JSON that is not a list of {period, lo, hi},
-    # and flag values that do not parse
+    # and flag values that do not parse or are not finite
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import renormray
@@ -35,4 +36,28 @@ def test_every_import_is_read():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
+
+
+EXACT_LAYER = ("circle.py", "rotation.py", "towers.py", "lamination.py")
+
+
+def test_exact_layer_imports_only_stdlib():
+    # the exact layer is stdlib fractions only: no numpy, no third-party package
+    found = []
+    for path, tree in package_modules():
+        if path.name not in EXACT_LAYER:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "renormray":
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert sorted(p.name for p, _ in package_modules() if p.name in EXACT_LAYER) == sorted(EXACT_LAYER)
     assert not found, found
