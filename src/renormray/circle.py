@@ -92,10 +92,6 @@ class Angle:
     def to_json(self) -> dict:
         return {"num": str(self.frac.numerator), "den": str(self.frac.denominator)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Angle":
-        return cls(int(obj["num"]), int(obj["den"]))
-
 
 def circular_distance(a, b) -> Fraction:
     """Shorter-arc distance between two circle points, as an exact fraction."""
@@ -348,11 +344,10 @@ class LimitAngle:
 
     refiner: Callable[[int], tuple[Fraction, Fraction]]
     max_depth: int
-    label: str = ""
 
     @classmethod
-    def from_angle(cls, t: Angle, label: str = "") -> "LimitAngle":
-        return cls(lambda depth: (t.frac, Fraction(0)), max_depth=10**9, label=label or str(t))
+    def from_angle(cls, t: Angle) -> "LimitAngle":
+        return cls(lambda depth: (t.frac, Fraction(0)), max_depth=10**9)
 
     def _arc_for_bits(self, nbits: int) -> tuple[Fraction, Fraction]:
         target = Fraction(1, 1 << (nbits + 2))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -265,9 +266,17 @@ def cmd_telescope(args):
     )
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _render_file(path: str) -> bytes:
     with open(path) as fh:
-        return render_scene(json.load(fh))
+        return render_scene(json.load(fh, parse_float=_finite_float, parse_constant=_finite_float))
 
 
 def cmd_render(args):
@@ -291,14 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tower", help="emit the levels of a tower")
+    p.set_defaults(handler=cmd_tower)
     _add_tower_flags(p)
 
     p = sub.add_parser("window", help="window s_{n,j} or sub-window of a tower level")
+    p.set_defaults(handler=cmd_window)
     _add_tower_flags(p, need_level=True)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--sub", action="store_true", help="emit the four-arc sub-window")
 
     p = sub.add_parser("shadow", help="shadow membership, or the K_c shadow with --kc")
+    p.set_defaults(handler=cmd_shadow)
     _add_tower_flags(p)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--j", type=int, default=1)
@@ -307,45 +319,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=8)
 
     p = sub.add_parser("theta", help="level-n itinerary semiconjugacy value")
+    p.set_defaults(handler=cmd_theta)
     _add_tower_flags(p, need_level=True)
     p.add_argument("--t", required=True)
 
     p = sub.add_parser("omega", help="first hit times of doubled tau1 prefixes near targets")
+    p.set_defaults(handler=cmd_omega)
     _add_tower_flags(p)
     p.add_argument("--targets", nargs="+", required=True)
     p.add_argument("--horizon", type=int, default=65536)
     p.add_argument("--bits", type=int, default=8)
 
     p = sub.add_parser("validate", help="full invariant scan of a tower")
+    p.set_defaults(handler=cmd_validate)
     _add_tower_flags(p)
 
     p = sub.add_parser("rotset", help="minimal rotation set for a rotation number")
+    p.set_defaults(handler=cmd_rotset)
     p.add_argument("--nu", required=True)
 
     p = sub.add_parser("lamination", help="chord family of a tower, as SVG")
+    p.set_defaults(handler=cmd_lamination)
     _add_tower_flags(p)
     p.add_argument("--preimage-depth", type=int, default=0)
     p.add_argument("--arcs", action="store_true", help="draw hyperbolic arcs instead of straight chords")
     p.add_argument("--out")
 
     p = sub.add_parser("ray", help="trace an external ray")
+    p.set_defaults(handler=cmd_ray)
     p.add_argument("--c", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--level-min", type=float, default=1e-9)
 
     p = sub.add_parser("green", help="Green level of a point")
+    p.set_defaults(handler=cmd_green)
     p.add_argument("--c", required=True)
     p.add_argument("--z", required=True)
 
     p = sub.add_parser("periodic", help="roots of f^m(z) = z with multipliers")
+    p.set_defaults(handler=cmd_periodic)
     p.add_argument("--c", required=True)
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("beta", help="shared landing point of a level's ray pair")
+    p.set_defaults(handler=cmd_beta)
     _add_tower_flags(p, need_level=True)
     p.add_argument("--c", required=True)
 
     p = sub.add_parser("telescope", help="stage conditions of a telescope at x")
+    p.set_defaults(handler=cmd_telescope)
     p.add_argument("--c", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--r", type=float, required=True)
@@ -354,34 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated, starting at 0")
 
     p = sub.add_parser("render", help="render a scene JSON to binary PPM")
+    p.set_defaults(handler=cmd_render)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
 
-    sub.add_parser("selftest", help="run the embedded exact consistency suite")
+    p = sub.add_parser("selftest", help="run the embedded exact consistency suite")
+    p.set_defaults(handler=cmd_selftest)
 
     for name, prs in sub.choices.items():
         if name not in ("render", "lamination"):
             prs.add_argument("--out", help="write JSON here instead of stdout")
     return parser
-
-
-_HANDLERS = {
-    "tower": cmd_tower,
-    "window": cmd_window,
-    "shadow": cmd_shadow,
-    "theta": cmd_theta,
-    "omega": cmd_omega,
-    "validate": cmd_validate,
-    "rotset": cmd_rotset,
-    "lamination": cmd_lamination,
-    "ray": cmd_ray,
-    "green": cmd_green,
-    "periodic": cmd_periodic,
-    "beta": cmd_beta,
-    "telescope": cmd_telescope,
-    "render": cmd_render,
-    "selftest": cmd_selftest,
-}
 
 
 def run(argv=None) -> int:
@@ -390,7 +395,7 @@ def run(argv=None) -> int:
     if getattr(args, "tower", None) in ("feigenbaum", "rabbit") and not args.depth:
         parser.error("named towers need --depth")
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except (DomainError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

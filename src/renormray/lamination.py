@@ -7,7 +7,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, double
+from .circle import Angle, double, preimages
+
+_STROKE_WIDTH = 0.004  # SVG stroke width of the circle and of every chord
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,6 @@ class Chord:
         if b < a:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
-
-    def image(self) -> "Chord | None":
-        """Chord of the doubled endpoints, or None if it degenerates."""
-        a, b = double(self.a), double(self.b)
-        return None if a == b else Chord(a, b)
 
     def __repr__(self):
         return f"Chord({self.a}, {self.b})"
@@ -95,12 +92,9 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     for _ in range(preimage_depth):
         new_frontier = []
         for chord in frontier:
-            a0, a1 = chord.a.frac / 2, chord.a.frac / 2 + Fraction(1, 2)
-            b0, b1 = chord.b.frac / 2, chord.b.frac / 2 + Fraction(1, 2)
-            pairings = (
-                (Chord(Angle(a0), Angle(b0)), Chord(Angle(a1), Angle(b1))),
-                (Chord(Angle(a0), Angle(b1)), Chord(Angle(a1), Angle(b0))),
-            )
+            a0, a1 = preimages(chord.a)
+            b0, b1 = preimages(chord.b)
+            pairings = ((Chord(a0, b0), Chord(a1, b1)), (Chord(a0, b1), Chord(a1, b0)))
             placed = None
             for cand in pairings:
                 if not any(_crosses(ends, partners, c) for c in cand) and not linked(*cand):
@@ -148,12 +142,12 @@ def _point(t: Angle) -> tuple[float, float]:
     return math.cos(phi), -math.sin(phi)
 
 
-def export_svg(family, circular_arcs: bool = False, stroke_width: float = 0.004) -> str:
+def export_svg(family, circular_arcs: bool = False) -> str:
     """Deterministic unit-disk rendering of a chord family (SVG 1.1)."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="-1.05 -1.05 2.1 2.1">',
-        f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="{stroke_width:.6f}"/>',
+        f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="{_STROKE_WIDTH:.6f}"/>',
     ]
     for chord in sorted(family, key=lambda c: (c.a.frac, c.b.frac)):
         (x1, y1), (x2, y2) = _point(chord.a), _point(chord.b)
@@ -163,7 +157,7 @@ def export_svg(family, circular_arcs: bool = False, stroke_width: float = 0.004)
             if gap == Fraction(1, 2):
                 lines.append(
                     f'<line x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" '
-                    f'stroke="black" stroke-width="{stroke_width:.6f}"/>'
+                    f'stroke="black" stroke-width="{_STROKE_WIDTH:.6f}"/>'
                 )
                 continue
             half = math.pi * float(gap)
@@ -171,12 +165,12 @@ def export_svg(family, circular_arcs: bool = False, stroke_width: float = 0.004)
             sweep = 1 if gap < Fraction(1, 2) else 0
             lines.append(
                 f'<path d="M {x1:.6f} {y1:.6f} A {r:.6f} {r:.6f} 0 0 {sweep} {x2:.6f} {y2:.6f}" '
-                f'fill="none" stroke="black" stroke-width="{stroke_width:.6f}"/>'
+                f'fill="none" stroke="black" stroke-width="{_STROKE_WIDTH:.6f}"/>'
             )
         else:
             lines.append(
                 f'<line x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" '
-                f'stroke="black" stroke-width="{stroke_width:.6f}"/>'
+                f'stroke="black" stroke-width="{_STROKE_WIDTH:.6f}"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -13,21 +13,22 @@ import numpy as np
 
 from .circle import Angle, sigma_pow
 
+_GREEN_MAX_ITER = 2048  # iteration cap of green()
+_RAY_STEPS_PER_HALVING = 6  # trace_ray level steps per halving of the level
+_RAY_NEWTON_TOL = 1e-12  # trace_ray Newton residual, relative to 1 + |target|
+_RAY_LANDING_TOL = 1e-9  # trace_ray tail spread below which a ray has landed
+_BETA_LEVEL_MIN = 1e-14  # level to which beta_point traces both rays
+_BETA_TOL = 1e-4  # beta_point root distance and agreement bound
+_TELESCOPE_BOUNDARY_SAMPLES = 48  # sample points on each telescope disk boundary
+
 
 @dataclass(frozen=True)
 class Params:
     c: complex
-    max_iter: int = 2048
 
     @property
     def escape_radius(self) -> float:
         return max(4.0, 2.0 + abs(self.c))
-
-
-def iterate(params: Params, z: complex, m: int) -> complex:
-    for _ in range(m):
-        z = z * z + params.c
-    return z
 
 
 def green(params: Params, z: complex) -> float:
@@ -38,7 +39,7 @@ def green(params: Params, z: complex) -> float:
     """
     big = 1e18
     w = complex(z)
-    for n in range(params.max_iter):
+    for n in range(_GREEN_MAX_ITER):
         r = abs(w)
         if r > big:
             return math.log(r) / (1 << n) if n < 60 else math.log(r) * 2.0 ** (-n)
@@ -47,7 +48,7 @@ def green(params: Params, z: complex) -> float:
         w = w * w + params.c
     r = abs(w)
     if r > params.escape_radius:
-        return math.log(r) * 2.0 ** (-params.max_iter)
+        return math.log(r) * 2.0 ** (-_GREEN_MAX_ITER)
     return 0.0
 
 
@@ -71,20 +72,16 @@ def _fn_and_derivative(z: complex, n: int, c: complex) -> tuple[complex, complex
     return w, d
 
 
-def trace_ray(
-    params: Params,
-    t: Angle,
-    level_min: float = 1e-12,
-    steps_per_halving: int = 6,
-    newton_tol: float = 1e-12,
-    landing_tol: float = 1e-9,
-) -> RayPath:
+def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
     """Trace the external ray of angle t by level-doubling Newton descent.
 
     At level L and depth n (chosen so 2^n L stays in a fixed far-field band)
     the ray point solves f^n(z) = exp(2^n L + 2 pi i sigma^n(t)); each level
     step continues the previous point by Newton.  Divergence near a pinching
-    point aborts cleanly with the partial path.
+    point aborts cleanly with the partial path.  The level falls by 2^(-1/6)
+    per step down to level_min, Newton stops at a residual of 1e-12 relative
+    to 1 + |target|, and the ray has landed when the spread of its points
+    over the last level decade is below 1e-9.
     """
     if level_min <= 0:
         raise ValueError("level_min must be positive")
@@ -96,7 +93,7 @@ def trace_ray(
     z = cmath.exp(complex(level, 2 * math.pi * float(t.frac)))
     path.points.append(z)
     path.levels.append(level)
-    ratio = 2.0 ** (-1.0 / steps_per_halving)
+    ratio = 2.0 ** (-1.0 / _RAY_STEPS_PER_HALVING)
     while level > level_min:
         level *= ratio
         while level * (1 << n) < base:
@@ -107,7 +104,7 @@ def trace_ray(
         for _ in range(60):
             f, d = _fn_and_derivative(z, n, c)
             err = f - w
-            if abs(err) <= newton_tol * (1.0 + abs(w)):
+            if abs(err) <= _RAY_NEWTON_TOL * (1.0 + abs(w)):
                 ok = True
                 break
             if d == 0:
@@ -133,7 +130,7 @@ def trace_ray(
     spread = max((abs(p - path.points[-1]) for p in tail), default=0.0)
     path.landing = path.points[-1]
     path.residual = spread
-    path.landed = spread < landing_tol
+    path.landed = spread < _RAY_LANDING_TOL
     return path
 
 
@@ -149,11 +146,7 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
     n = 1 << m
 
     def p_and_dp(z):
-        w = z.copy()
-        d = np.ones_like(z)
-        for _ in range(m):
-            d = 2.0 * w * d
-            w = w * w + c
+        w, d = _fn_and_derivative(z, m, c)
         return w - z, d - 1.0
 
     radius = 0.5 + math.sqrt(0.25 + abs(c)) + 0.3
@@ -176,11 +169,7 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
         p, dp = p_and_dp(z)
         mask = np.abs(dp) > 1e-14
         z = np.where(mask, z - p / dp, z)
-    w = z.copy()
-    mult = np.ones_like(z)
-    for _ in range(m):
-        mult = 2.0 * w * mult
-        w = w * w + c
+    _, mult = _fn_and_derivative(z, m, c)
     order = np.lexsort((z.imag.round(9), z.real.round(9)))
     return [(complex(z[i]), complex(mult[i])) for i in order]
 
@@ -193,16 +182,20 @@ class BetaResult:
     residuals: tuple[float, float]
 
 
-def beta_point(params: Params, comb, n: int, level_min: float = 1e-14, tol: float = 1e-4) -> BetaResult:
+def beta_point(params: Params, comb, n: int) -> BetaResult:
     """Landing point shared by the two level-n pair rays, matched to a root
-    of f^p(z) = z."""
+    of f^p(z) = z.
+
+    Both rays are traced to level 1e-14; they are matched when each landing
+    point lies within 1e-4 of its nearest root and the two roots agree to 1e-4.
+    """
     pair = comb.level(n)
     roots = [r for r, _ in periodic_points(params, pair.period)]
     lands = []
     for t in (pair.lo, pair.hi):
-        path = trace_ray(params, t, level_min=level_min)
+        path = trace_ray(params, t, level_min=_BETA_LEVEL_MIN)
         if path.aborted or path.landing is None:
-            raise ValueError(f"ray {t} did not reach level {level_min}: {path.abort_reason}")
+            raise ValueError(f"ray {t} did not reach level {_BETA_LEVEL_MIN}: {path.abort_reason}")
         lands.append(path.landing)
     near = []
     res = []
@@ -210,7 +203,7 @@ def beta_point(params: Params, comb, n: int, level_min: float = 1e-14, tol: floa
         best = min(roots, key=lambda r: abs(r - z))
         near.append(best)
         res.append(abs(best - z))
-    matched = abs(near[0] - near[1]) < tol and max(res) < tol
+    matched = abs(near[0] - near[1]) < _BETA_TOL and max(res) < _BETA_TOL
     return BetaResult(near[0], matched, (near[0], near[1]), (res[0], res[1]))
 
 
@@ -381,21 +374,13 @@ def _polygon_simple(points) -> bool:
     return True
 
 
-def telescope_check(
-    params: Params,
-    x: complex,
-    r: float,
-    kappa: float,
-    delta: float,
-    times,
-    boundary_samples: int = 48,
-) -> TelescopeReport:
+def telescope_check(params: Params, x: complex, r: float, kappa: float, delta: float, times) -> TelescopeReport:
     """Check the stage conditions of an (r, kappa, delta, k)-telescope at x.
 
     (i) is the arithmetic time-density l/n_l > kappa.  (ii) continues the
-    inverse branch along the orbit step by step, maps a boundary sample of
-    B(f^(n_l)(x), r) back to time n_(l-1), and verifies the delta margin to
-    the boundary of the previous disk.  Univalence is certified only
+    inverse branch along the orbit step by step, maps 48 equally spaced
+    points on the boundary of B(f^(n_l)(x), r) back to time n_(l-1), and
+    verifies the delta margin to the boundary of the previous disk.  Univalence is certified only
     heuristically (branch clearance of the critical value plus a simple
     mapped-boundary polygon); the report says so.
     """
@@ -412,13 +397,13 @@ def telescope_check(
         n_l, n_prev = times[l], times[l - 1]
         density_ok = l / n_l > kappa
         circle = [
-            orbit[n_l] + r * cmath.exp(2j * math.pi * k / boundary_samples)
-            for k in range(boundary_samples)
+            orbit[n_l] + r * cmath.exp(2j * math.pi * k / _TELESCOPE_BOUNDARY_SAMPLES)
+            for k in range(_TELESCOPE_BOUNDARY_SAMPLES)
         ]
         # continuation on the doubled disk, per the branch's domain B(., 2r)
         circle2 = [
-            orbit[n_l] + 2 * r * cmath.exp(2j * math.pi * k / boundary_samples)
-            for k in range(boundary_samples)
+            orbit[n_l] + 2 * r * cmath.exp(2j * math.pi * k / _TELESCOPE_BOUNDARY_SAMPLES)
+            for k in range(_TELESCOPE_BOUNDARY_SAMPLES)
         ]
         pulled, clearance = _pull_back(orbit, c, circle, n_l, n_prev)
         pulled2, _ = _pull_back(orbit, c, circle2, n_l, n_prev)

@@ -76,7 +76,7 @@ def _draw_disk(img, px, py, radius, color):
             if (x - px) ** 2 + (y - py) ** 2 <= radius * radius:
                 img[y, x] = color
 
-def _draw_segment(img, a, b, color, thickness=1.0):
+def _draw_segment(img, a, b, color, thickness):
     h, w, _ = img.shape
     steps = max(2, int(abs(b[0] - a[0]) + abs(b[1] - a[1])) * 2)
     for k in range(steps + 1):

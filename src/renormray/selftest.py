@@ -27,6 +27,16 @@ from .towers import (
     window_length,
 )
 
+_ROTATION_QMAX = 12  # rotation oracle: every reduced p/q with q <= this
+_WINDOW_DEPTH = 6  # window algebra: depth of the period-doubling tower
+# semiconjugacy and shadow consistency: tower levels, sample sizes and seeds
+_SEMICONJUGACY_LEVELS = 3
+_SEMICONJUGACY_SAMPLES = 100
+_SEMICONJUGACY_SEED = 20260826
+_SHADOW_LEVELS = 4
+_SHADOW_SAMPLES = 50
+_SHADOW_SEED = 4261
+
 
 @dataclass(frozen=True)
 class Check:
@@ -38,11 +48,11 @@ class Check:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-def check_rotation_oracle(qmax: int = 12) -> Check:
+def check_rotation_oracle() -> Check:
     """Sturmian construction vs brute-force orbit enumeration, all reduced
-    p/q with q <= qmax; plus rotation-number round-trip and the semicircle
+    p/q with q <= 12; plus rotation-number round-trip and the semicircle
     bound on the enclosing arc."""
-    for q in range(1, qmax + 1):
+    for q in range(1, _ROTATION_QMAX + 1):
         for p in range(q):
             if gcd(p, q) != 1:
                 continue
@@ -56,20 +66,21 @@ def check_rotation_oracle(qmax: int = 12) -> Check:
             arc, fits = minimal_enclosing_arc(fast.points)
             if arc.length > Fraction(1, 2) or not fits:
                 return Check("rotation_oracle", False, f"nu={nu}: enclosing arc longer than a semicircle")
-    return Check("rotation_oracle", True, f"all reduced p/q with q <= {qmax}")
+    return Check("rotation_oracle", True, f"all reduced p/q with q <= {_ROTATION_QMAX}")
 
 
-def check_window_algebra(depth: int = 6) -> Check:
+def check_window_algebra() -> Check:
     """Nesting of windows, exact component lengths, and four-component
-    sub-windows with sigma^p endpoint checks, on the period-doubling tower."""
-    comb = feigenbaum_tower(depth)
-    for n in range(1, depth):
+    sub-windows with sigma^p endpoint checks, on the period-doubling tower
+    of depth 6."""
+    comb = feigenbaum_tower(_WINDOW_DEPTH)
+    for n in range(1, _WINDOW_DEPTH):
         a, b = comb.level(n), comb.level(n + 1)
         if not (a.lo < b.lo and b.hi < a.hi):
             return Check("window_algebra", False, f"level {n + 1} sector not inside level {n}")
         if not window_at(b, 1).is_subset_of(window_at(a, 1)):
             return Check("window_algebra", False, f"s at level {n + 1} not inside s at level {n}")
-    for n in range(1, depth + 1):
+    for n in range(1, _WINDOW_DEPTH + 1):
         pair = comb.level(n)
         p = pair.period
         for comp in window_at(pair, 1).components:
@@ -85,17 +96,17 @@ def check_window_algebra(depth: int = 6) -> Check:
             if any(a.length != delta / (1 << p) for a in sub.arcs.components):
                 return Check("window_algebra", False, f"level {n}, j={j}: wrong sub-window length")
             # subwindow() itself raises if any sigma^p endpoint image is off
-    return Check("window_algebra", True, f"period-doubling tower depth {depth}")
+    return Check("window_algebra", True, f"period-doubling tower depth {_WINDOW_DEPTH}")
 
 
-def semiconjugacy_samples(comb, n: int, count: int, seed: int = 20260826):
+def semiconjugacy_samples(comb, n: int, count: int):
     """Rational angles accepted by the level-n theta precondition.
 
     Tuning a random odd-denominator rational into the level-n pair and
     shifting by sigma^(p_n - 1) lands in the shadow; each sample is verified
     against the precondition before use.
     """
-    rng = random.Random(seed + n)
+    rng = random.Random(_SEMICONJUGACY_SEED + n)
     pair = comb.level(n)
     out = []
     attempts = 0
@@ -111,18 +122,19 @@ def semiconjugacy_samples(comb, n: int, count: int, seed: int = 20260826):
     return out
 
 
-def check_semiconjugacy(levels: int = 3, samples: int = 100) -> Check:
-    """theta(sigma^p(t)) = 2 theta(t), exactly, on generated samples."""
-    comb = feigenbaum_tower(levels)
-    per_level = -(-samples // levels)
-    for n in range(1, levels + 1):
+def check_semiconjugacy() -> Check:
+    """theta(sigma^p(t)) = 2 theta(t), exactly, on 100 generated samples over
+    levels 1..3 of the period-doubling tower."""
+    comb = feigenbaum_tower(_SEMICONJUGACY_LEVELS)
+    per_level = -(-_SEMICONJUGACY_SAMPLES // _SEMICONJUGACY_LEVELS)
+    for n in range(1, _SEMICONJUGACY_LEVELS + 1):
         p = comb.level(n).period
         for t in semiconjugacy_samples(comb, n, per_level):
             lhs = theta(comb, n, sigma_pow(t, p)).value
             rhs = double(theta(comb, n, t).value)
             if lhs != rhs:
                 return Check("semiconjugacy", False, f"level {n}, t={t}: {lhs} != {rhs}")
-    return Check("semiconjugacy", True, f"{per_level} samples per level, levels 1..{levels}")
+    return Check("semiconjugacy", True, f"{per_level} samples per level, levels 1..{_SEMICONJUGACY_LEVELS}")
 
 
 def check_unlinked() -> Check:
@@ -137,17 +149,18 @@ def check_unlinked() -> Check:
     return Check("unlinked", True, "period-doubling depth 4 and rabbit depth 3")
 
 
-def check_shadow_consistency(samples: int = 50, levels: int = 4, seed: int = 4261) -> Check:
+def check_shadow_consistency() -> Check:
     """The j = 1 sub-window itinerary criterion agrees with the plain window
-    criterion on sampled rationals."""
-    comb = feigenbaum_tower(levels)
-    rng = random.Random(seed)
+    criterion on 50 sampled rationals, levels 1..4 of the period-doubling
+    tower."""
+    comb = feigenbaum_tower(_SHADOW_LEVELS)
+    rng = random.Random(_SHADOW_SEED)
     angles = []
-    while len(angles) < samples:
+    while len(angles) < _SHADOW_SAMPLES:
         den = rng.randrange(2, 4000)
         num = rng.randrange(0, den)
         angles.append(Angle(num, den))
-    for n in range(1, levels + 1):
+    for n in range(1, _SHADOW_LEVELS + 1):
         pair = comb.level(n)
         s1 = subwindow(pair, 1).arcs
         s = window_at(pair, 1)
@@ -158,7 +171,7 @@ def check_shadow_consistency(samples: int = 50, levels: int = 4, seed: int = 426
                 return Check("shadow_consistency", False, f"level {n}, t={t}")
             if in_shadow(t, comb, n, 1) != via_window:
                 return Check("shadow_consistency", False, f"level {n}, t={t}: in_shadow disagrees")
-    return Check("shadow_consistency", True, f"{samples} angles, levels 1..{levels}")
+    return Check("shadow_consistency", True, f"{_SHADOW_SAMPLES} angles, levels 1..{_SHADOW_LEVELS}")
 
 
 def run_all() -> list[Check]:

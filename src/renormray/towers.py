@@ -285,8 +285,8 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
         d = window_length(pair, 1)
         return (pair.hi - d).frac, d
 
-    tau1 = LimitAngle(left, max_depth=comb.depth, label="tau1")
-    tau2 = LimitAngle(right, max_depth=comb.depth, label="tau2")
+    tau1 = LimitAngle(left, max_depth=comb.depth)
+    tau2 = LimitAngle(right, max_depth=comb.depth)
     return KcShadow(window_at(comb.level(depth), 1), tau1, tau2)
 
 
@@ -431,8 +431,8 @@ def omega_probe(source, targets, horizon: int, bits: int):
     For each target, the smallest k in 1..horizon with
     dist(sigma^k(source), target) < 2^-bits, computed on binary prefixes
     (doubling acts as the shift); None records no hit within the horizon,
-    which is a report, not a refutation.  Sources and targets may be exact
-    angles or nested-arc limits; the source must be refinable to
+    which is a report, not a refutation.  Targets are exact angles; the
+    source is an exact angle or a nested-arc limit refinable to
     horizon + bits + 4 binary digits.
     """
     if horizon < 1:
@@ -447,7 +447,7 @@ def omega_probe(source, targets, horizon: int, bits: int):
     tol = Fraction(1, 1 << bits)
     results = []
     for target in targets:
-        tv = target.refine(bits + slack + 2).frac if isinstance(target, LimitAngle) else target.frac
+        tv = target.frac
         hit = None
         for k in range(1, horizon + 1):
             w = Fraction(int(sbits[k:k + win], 2), 1 << win)

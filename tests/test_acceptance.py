@@ -32,21 +32,21 @@ def report(num, name, passed, detail=""):
 
 def test_criterion_01_rotation_oracle():
     t0 = time.time()
-    check = selftest.check_rotation_oracle(qmax=12)
+    check = selftest.check_rotation_oracle()
     dt = time.time() - t0
     report(1, "rotation-oracle", check.passed and dt < 5, f"{check.detail}; {dt:.2f}s")
 
 
 def test_criterion_02_window_algebra():
     t0 = time.time()
-    check = selftest.check_window_algebra(depth=6)
+    check = selftest.check_window_algebra()
     dt = time.time() - t0
     report(2, "window-algebra", check.passed and dt < 10, f"{check.detail}; {dt:.2f}s")
 
 
 def test_criterion_03_semiconjugacy():
     t0 = time.time()
-    check = selftest.check_semiconjugacy(levels=3, samples=100)
+    check = selftest.check_semiconjugacy()
     dt = time.time() - t0
     report(3, "theta-semiconjugacy", check.passed and dt < 10, f"{check.detail}; {dt:.2f}s")
 
@@ -59,7 +59,7 @@ def test_criterion_04_unlinked():
 
 
 def test_criterion_05_shadow_consistency():
-    check = selftest.check_shadow_consistency(samples=50, levels=4)
+    check = selftest.check_shadow_consistency()
     report(5, "shadow-consistency", check.passed, check.detail)
 
 

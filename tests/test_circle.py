@@ -27,11 +27,6 @@ def test_angle_parse_and_str():
     assert Angle(7, 7) == Angle(0)
 
 
-def test_angle_json_roundtrip():
-    t = Angle(123456789, 987654321)
-    assert Angle.from_json(t.to_json()) == t
-
-
 @given(rationals)
 def test_double_is_sigma(u):
     t = Angle(u)

@@ -195,6 +195,12 @@ MALFORMED_SCENES = [
     '{"c": [0, 0], "width": 8, "height": 8, "layers": [{"type": "equipotential"}]}',
     '{"c": [0, 0], "width": 8, "height": 8, "layers": [{"type": "spiral"}]}',
     '{"c": [0, 0], "width": 8, "height": 8, "layers": [3]}',
+    '{"c": [NaN, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [Infinity, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [-Infinity, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [1e400, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "scale": NaN, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "equipotential", "level": NaN}]}',
 ]
 
 

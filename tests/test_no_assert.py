@@ -39,6 +39,34 @@ def test_every_import_is_read():
     assert not found, found
 
 
+def test_every_definition_is_read():
+    # a top-level function or class that nothing in the package names is dead
+    # code, unless __init__.py re-exports it as API
+    modules = package_modules()
+    known = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for _, tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    known |= {  # re-exported by __init__.py
+        alias.asname or alias.name
+        for path, tree in modules
+        if path.name == "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in modules
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in known
+    ]
+    assert not found, found
+
+
 EXACT_LAYER = ("circle.py", "rotation.py", "towers.py", "lamination.py")
 
 

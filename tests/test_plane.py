@@ -1,9 +1,11 @@
 import cmath
+import hashlib
 import math
 
 import pytest
 
 from renormray.circle import Angle
+from renormray.lamination import build, export_svg
 from renormray.plane import (
     Params,
     beta_point,
@@ -182,3 +184,24 @@ def test_render_deterministic_and_ppm():
     assert d1 == d2
     assert d1.startswith(b"P6\n40 30\n255\n")
     assert len(d1) == len(b"P6\n40 30\n255\n") + 40 * 30 * 3
+
+
+# sha256 prefixes of repr(output), so a change in the last bit of any float
+# shows.  Recorded with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux; another
+# numpy build or CPU may round differently.
+PINNED = [
+    *[(f"periodic_points(-1, {m})", lambda m=m: periodic_points(Params(-1), m), digest)
+      for m, digest in enumerate(["be822ea1d22ae61f", "b85a489ce8be6545", "d4b798cf71122df4",
+                                  "f4f004b2146005d4", "55e5150a7601520a", "6dc33225dfd9fba1"], start=1)],
+    ("periodic_points(0.1+0.2j, 4)", lambda: periodic_points(Params(0.1 + 0.2j), 4), "d684fc724d2e6800"),
+    ("trace_ray(-1, 1/3)", lambda: trace_ray(Params(-1), Angle(1, 3), level_min=1e-9), "a6c32441a00a1964"),
+    ("beta_point(-1, F1, 1)", lambda: beta_point(Params(-1), feigenbaum_tower(1), 1), "7d85833e5d658c73"),
+    ("telescope_check(-2, 2)", lambda: telescope_check(Params(-2), 2.0, 0.3, 0.5, 0.01, range(11)), "457b1eb6d36f0fc7"),
+    ("export_svg(F4)", lambda: export_svg(build(feigenbaum_tower(4), 4, 0)), "dfb092329b0890b4"),
+    ("export_svg(F4, arcs)", lambda: export_svg(build(feigenbaum_tower(4), 4, 0), circular_arcs=True), "d8ffbd8ba3d152cb"),
+]
+
+
+@pytest.mark.parametrize("compute, digest", [p[1:] for p in PINNED], ids=[p[0] for p in PINNED])
+def test_output_is_pinned(compute, digest):
+    assert hashlib.sha256(repr(compute()).encode()).hexdigest()[:16] == digest
