@@ -8,7 +8,6 @@ from .circle import (
     LimitAngle,
     angle_from_words,
     binary_words,
-    circular_distance,
     double,
     orbit_info,
     preimages,

@@ -93,12 +93,6 @@ class Angle:
         return {"num": str(self.frac.numerator), "den": str(self.frac.denominator)}
 
 
-def circular_distance(a, b) -> Fraction:
-    """Shorter-arc distance between two circle points, as an exact fraction."""
-    d = (_as_fraction(a) - _as_fraction(b)) % 1
-    return min(d, 1 - d)
-
-
 def double(t: Angle) -> Angle:
     """The doubling map t -> 2t mod 1."""
     return Angle(2 * t.frac)
@@ -214,6 +208,13 @@ class Arc:
             return True
         return 0 < (t.frac - self.start.frac) % 1 < self.length
 
+    def overlaps(self, other: "Arc") -> bool:
+        """True when the two arcs share a sub-arc of positive length."""
+        if self.length == 0 or other.length == 0:
+            return False
+        d = (other.start.frac - self.start.frac) % 1
+        return d < self.length or d + other.length > 1
+
     def to_json(self) -> dict:
         return {
             "start": self.start.to_json(),
@@ -309,13 +310,6 @@ class ArcSet:
 
     def is_subset_of(self, other: "ArcSet") -> bool:
         return self.intersect(other).total_length == self.total_length
-
-    def sigma_image(self) -> "ArcSet":
-        """Componentwise image under doubling; every component must be short."""
-        for a in self.arcs:
-            if a.length >= HALF:
-                raise ValueError("component too long, image not an arc")
-        return ArcSet(Arc(double(a.start), 2 * a.length) for a in self.arcs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ArcSet) and self.arcs == other.arcs

@@ -97,7 +97,7 @@ def _parse(args, flag: str, convert):
     try:
         return convert(value)
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
-        _usage_error(args, f"--{flag} {value!r} does not parse: {exc!r}")
+        _usage_error(args, f"--{flag.replace('_', '-')} {value!r} does not parse: {exc!r}")
 
 
 def _arc_json(arc) -> dict:
@@ -193,7 +193,7 @@ def cmd_lamination(args):
 
 def cmd_ray(args):
     params = Params(c=_parse(args, "c", _complex))
-    path = trace_ray(params, _parse(args, "t", Angle.parse), level_min=args.level_min)
+    path = trace_ray(params, _parse(args, "t", Angle.parse), level_min=_parse(args, "level_min", _finite_float))
     _emit(
         {
             "angle": args.t,
@@ -242,7 +242,8 @@ def cmd_beta(args):
 def cmd_telescope(args):
     params = Params(c=_parse(args, "c", _complex))
     times = _parse(args, "times", lambda text: [int(s) for s in text.split(",")])
-    report = telescope_check(params, _parse(args, "x", _complex), args.r, args.kappa, args.delta, times)
+    r, kappa, delta = (_parse(args, flag, _finite_float) for flag in ("r", "kappa", "delta"))
+    report = telescope_check(params, _parse(args, "x", _complex), r, kappa, delta, times)
     _emit(
         {
             "pass": report.passed,
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ray)
     p.add_argument("--c", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--level-min", type=float, default=1e-9)
+    p.add_argument("--level-min", default="1e-9")
 
     p = sub.add_parser("green", help="Green level of a point")
     p.set_defaults(handler=cmd_green)
@@ -370,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_telescope)
     p.add_argument("--c", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--r", required=True)
+    p.add_argument("--kappa", required=True)
+    p.add_argument("--delta", required=True)
     p.add_argument("--times", required=True, help="comma-separated, starting at 0")
 
     p = sub.add_parser("render", help="render a scene JSON to binary PPM")

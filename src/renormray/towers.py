@@ -21,7 +21,6 @@ from .circle import (
     LimitAngle,
     angle_from_words,
     binary_words,
-    circular_distance,
     double,
     sigma_pow,
 )
@@ -444,14 +443,16 @@ def omega_probe(source, targets, horizon: int, bits: int):
     src = source if isinstance(source, LimitAngle) else LimitAngle.from_angle(source)
     sbits = format(src.prefix_bits(total), f"0{total}b")
     win = bits + slack
-    tol = Fraction(1, 1 << bits)
     results = []
     for target in targets:
-        tv = target.frac
+        # with W = 2^win and target p/q, dist(w/W, p/q) < 2^-bits exactly when
+        # d = (w q - p W) mod qW has min(d, qW - d) < q 2^slack
+        p, q = target.numerator, target.denominator
+        pw, qw, tol = p << win, q << win, q << slack
         hit = None
         for k in range(1, horizon + 1):
-            w = Fraction(int(sbits[k:k + win], 2), 1 << win)
-            if circular_distance(w, tv) < tol:
+            d = (int(sbits[k:k + win], 2) * q - pw) % qw
+            if min(d, qw - d) < tol:
                 hit = k
                 break
         results.append((target, hit))
@@ -516,31 +517,28 @@ def validate(comb: Tower) -> ValidationReport:
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
+        # one sigma-orbit walk feeds orbit_exclusion and min_length_2inf; k = p
+        # is left out because sigma^p fixes lo and hi, which bound the interior
         interior = Arc(pair.lo, pair.width)
-        bad = []
+        hits, short = [], []
         a, b = pair.lo, pair.hi
-        for k in range(1, pair.period + 1):
+        for k in range(1, pair.period):
             a, b = double(a), double(b)
             for point in (a, b):
                 if interior.interior_contains(point):
-                    bad.append(f"sigma^{k} hits {point}")
-        add("orbit_exclusion", n, not bad, "; ".join(bad))
+                    hits.append(f"sigma^{k} hits {point}")
+            arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
+            disjoint = [arc for arc in arcs if not arc.overlaps(interior)]
+            if not disjoint:
+                short.append(f"k={k}: no arc avoids S_n interior")
+            elif any(arc.length < pair.width for arc in disjoint):
+                short.append(f"k={k}: avoiding arc shorter than S_n")
+        add("orbit_exclusion", n, not hits, "; ".join(hits))
         chords = orbit_chords(pair)
         level_chords.append(chords)
         witnesses = verify_unlinked(chords)["witnesses"]
         add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
-        s_set = ArcSet([Arc(pair.lo, pair.width)])
-        bad = []
-        a, b = pair.lo, pair.hi
-        for k in range(1, pair.period):
-            a, b = double(a), double(b)
-            arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
-            disjoint = [arc for arc in arcs if ArcSet([arc]).intersect(s_set).total_length == 0]
-            if not disjoint:
-                bad.append(f"k={k}: no arc avoids S_n interior")
-            elif any(arc.length < pair.width for arc in disjoint):
-                bad.append(f"k={k}: avoiding arc shorter than S_n")
-        add("min_length_2inf", n, not bad, "; ".join(bad))
+        add("min_length_2inf", n, not short, "; ".join(short))
     # cross-level unlinking
     if all(pair_ok):
         all_chords = [c for chords in level_chords for c in chords]

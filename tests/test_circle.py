@@ -10,7 +10,6 @@ from renormray.circle import (
     LimitAngle,
     angle_from_words,
     binary_words,
-    circular_distance,
     double,
     orbit_info,
     preimages,
@@ -48,7 +47,7 @@ def test_preimages_double_back(u):
     t = Angle(u)
     a, b = preimages(t)
     assert double(a) == t and double(b) == t
-    assert circular_distance(a, b) == Fraction(1, 2)
+    assert (a.frac - b.frac) % 1 == Fraction(1, 2)
 
 
 def test_orbit_info_examples():
@@ -106,10 +105,38 @@ def test_arcset_wrap_merge():
     assert s.contains(Angle(0))
 
 
-def test_arcset_sigma_image_rejects_long_component():
-    s = ArcSet([Arc(Angle(0), Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        s.sigma_image()
+def _overlap_oracle(x, y):
+    return ArcSet([x]).intersect(ArcSet([y])).total_length > 0
+
+
+arc_lengths = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+)
+arcs = st.builds(Arc, st.fractions(min_value=0, max_value=1, max_denominator=64).map(Angle), arc_lengths)
+
+
+@given(arcs, arcs)
+def test_arc_overlaps_matches_arcset_intersection(x, y):
+    assert x.overlaps(y) == _overlap_oracle(x, y)
+    assert y.overlaps(x) == x.overlaps(y)
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        ((0, Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4)), False),  # shared endpoint only
+        ((Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 4)), False),  # touch at both ends across 0
+        ((Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 8)), True),  # wraps across 0
+        ((Fraction(1, 8), 0), (0, Fraction(1, 2)), False),  # zero length inside the other arc
+        ((0, 1), (Fraction(1, 3), 0), False),  # zero length inside the full circle
+        ((0, 1), (Fraction(1, 3), Fraction(1, 100)), True),  # full circle
+        ((Fraction(1, 2), 1), (0, 1), True),
+    ],
+)
+def test_arc_overlaps_examples(x, y, expected):
+    a, b = Arc(Angle(x[0]), x[1]), Arc(Angle(y[0]), y[1])
+    assert a.overlaps(b) == b.overlaps(a) == _overlap_oracle(a, b) == expected
 
 
 def test_arcset_subset():
@@ -121,8 +148,8 @@ def test_arcset_subset():
 
 def test_limit_angle_of_rational():
     lim = LimitAngle.from_angle(Angle(1, 3))
-    t = lim.refine(10)
-    assert circular_distance(t, Angle(1, 3)) < Fraction(1, 1 << 10)
+    d = (lim.refine(10).frac - Fraction(1, 3)) % 1
+    assert min(d, 1 - d) < Fraction(1, 1 << 10)
 
 
 def test_limit_angle_budget_exhaustion():

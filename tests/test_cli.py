@@ -164,6 +164,11 @@ MALFORMED_VALUES = [
     ["green", "--c", "0", "--z", "1e400"],
     ["green", "--c", "nan", "--z", "1"],
     ["ray", "--c", "1e400", "--t", "1/3"],
+    ["ray", "--c", "-1", "--t", "1/3", "--level-min", "nan"],
+    ["ray", "--c", "-1", "--t", "1/3", "--level-min", "inf"],
+    ["telescope", "--c", "-2", "--x", "2", "--r", "nan", "--kappa", "0.5", "--delta", "0.01", "--times", "0,1"],
+    ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "inf", "--delta", "0.01", "--times", "0,1"],
+    ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta=-inf", "--times", "0,1"],
 ]
 
 

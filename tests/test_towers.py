@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormray.circle import Angle, Arc, double, sigma_pow
+from renormray.circle import Angle, Arc, LimitAngle, double, sigma_pow
 from renormray.towers import (
     ComponentAddress,
     RayPair,
@@ -76,9 +76,11 @@ def test_window_at_length_formula():
 
 
 def test_window_shift_is_sigma_image():
+    # sigma(s_{n,j}) = s_{n,j+1}, component by component
     pair = feigenbaum_tower(2).level(2)
     for j in range(1, pair.period):
-        assert window_at(pair, j).sigma_image() == window_at(pair, j + 1)
+        image = sorted((Arc(double(a.start), 2 * a.length) for a in window_at(pair, j)), key=lambda a: a.start)
+        assert image == sorted(window_at(pair, j + 1).components, key=lambda a: a.start)
 
 
 def test_subwindow_example():
@@ -194,6 +196,43 @@ def test_omega_probe_no_hit_reported_as_none():
     assert hits[0][1] is None
 
 
+def _omega_oracle(source, targets, horizon, bits):
+    # the Fraction formula: dist(w / 2^win, target) < 2^-bits on each win-bit window
+    win = bits + 4
+    total = horizon + win
+    sbits = format(source.prefix_bits(total), f"0{total}b")
+    out = []
+    for target in targets:
+        hit = None
+        for k in range(1, horizon + 1):
+            d = (Fraction(int(sbits[k:k + win], 2), 1 << win) - target.frac) % 1
+            if min(d, 1 - d) < Fraction(1, 1 << bits):
+                hit = k
+                break
+        out.append((target, hit))
+    return out
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 12])
+def test_omega_probe_matches_fraction_oracle(bits):
+    sources = [
+        shadow_Kc(feigenbaum_tower(10), 1).tau1,
+        LimitAngle.from_angle(Angle(1, 3)),
+        LimitAngle.from_angle(Angle(0)),
+        LimitAngle.from_angle(Angle(5, 7)),
+    ]
+    horizon = 40
+    for src in sources:
+        # a target exactly 2^-bits above the first window: strict < means no hit there
+        w1 = Fraction(src.prefix_bits(1 + bits + 4) % (1 << (bits + 4)), 1 << (bits + 4))
+        edge = Angle(w1 + Fraction(1, 1 << bits))
+        targets = [Angle(0), Angle(1023, 1024), Angle(1, 3), Angle(5, 7), Angle(3, 8), edge]
+        hits = omega_probe(src, targets, horizon, bits)
+        assert hits == _omega_oracle(src, targets, horizon, bits)
+        edge_hit = hits[-1][1]
+        assert edge_hit is None or edge_hit > 1
+
+
 def test_validate_passes_stock_towers():
     assert validate(feigenbaum_tower(4)).passed
     assert validate(rabbit_tower(3)).passed
@@ -250,13 +289,52 @@ SELF_LINKED_REPORT = [
 ]
 
 
+# width 5/7: pair_width fails, and min_length_2inf still runs with S_n longer than 1/2
+WIDE_REPORT = [
+    {"check": "pair_periodic", "level": 1, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 1, "pass": False, "witness": "width 5/7"},
+    {
+        "check": "orbit_exclusion",
+        "level": 1,
+        "pass": False,
+        "witness": "sigma^1 hits 2/7; sigma^1 hits 5/7; sigma^2 hits 4/7; sigma^2 hits 3/7",
+    },
+    {"check": "unlinked_chords", "level": 1, "pass": True, "witness": ""},
+    {
+        "check": "min_length_2inf",
+        "level": 1,
+        "pass": False,
+        "witness": "k=1: no arc avoids S_n interior; k=2: no arc avoids S_n interior",
+    },
+    {"check": "unlinked_across_levels", "level": 0, "pass": True, "witness": ""},
+]
+
+SHORT_AVOIDING_WITNESS = "Chord(1/15, 7/15) x Chord(2/15, 14/15); Chord(1/15, 7/15) x Chord(4/15, 13/15)"
+SHORT_AVOIDING_REPORT = [
+    {"check": "pair_periodic", "level": 1, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 1, "pass": True, "witness": "width 2/5"},
+    {"check": "orbit_exclusion", "level": 1, "pass": False, "witness": "sigma^1 hits 2/15; sigma^2 hits 4/15"},
+    {"check": "unlinked_chords", "level": 1, "pass": False, "witness": SHORT_AVOIDING_WITNESS},
+    {
+        "check": "min_length_2inf",
+        "level": 1,
+        "pass": False,
+        "witness": "k=1: no arc avoids S_n interior; k=2: no arc avoids S_n interior; "
+        "k=3: avoiding arc shorter than S_n",
+    },
+    {"check": "unlinked_across_levels", "level": 0, "pass": False, "witness": SHORT_AVOIDING_WITNESS},
+]
+
+
 @pytest.mark.parametrize(
     "levels, expected",
     [
         ((RayPair(2, Angle(1, 3), Angle(2, 3)), RayPair(3, Angle(1, 7), Angle(2, 7))), SPLICED_REPORT),
         ((RayPair(4, Angle(1, 15), Angle(3, 15)),), SELF_LINKED_REPORT),
+        ((RayPair(3, Angle(1, 7), Angle(6, 7)),), WIDE_REPORT),
+        ((RayPair(4, Angle(1, 15), Angle(7, 15)),), SHORT_AVOIDING_REPORT),
     ],
-    ids=["spliced", "self_linked"],
+    ids=["spliced", "self_linked", "wide", "short_avoiding"],
 )
 def test_validate_report_is_pinned(levels, expected):
     # the full report: every check, its order, and the witnesses with their order
