@@ -55,18 +55,8 @@ class Angle:
     def __add__(self, other) -> "Angle":
         return Angle(self.frac + _as_fraction(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Angle":
         return Angle(self.frac - _as_fraction(other))
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.frac)
-
-    def __mul__(self, k) -> "Angle":
-        return Angle(self.frac * k)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Angle) and self.frac == other.frac
@@ -85,9 +75,6 @@ class Angle:
 
     def __str__(self):
         return f"{self.frac.numerator}/{self.frac.denominator}" if self.frac.denominator != 1 else str(self.frac.numerator)
-
-    def __float__(self):
-        return float(self.frac)
 
     def to_json(self) -> dict:
         return {"num": str(self.frac.numerator), "den": str(self.frac.denominator)}

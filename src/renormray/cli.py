@@ -57,11 +57,17 @@ def _complex(text: str) -> complex:
 
 
 def _tower(args) -> Tower:
+    if args.depth < 0:
+        _usage_error(args, f"--depth {args.depth} is negative")
     if args.tower == "feigenbaum":
         return feigenbaum_tower(args.depth)
     if args.tower == "rabbit":
         return rabbit_tower(args.depth)
     levels = _parse(args, "tower", _tower_levels)
+    if not levels:
+        _usage_error(args, "--tower lists no levels")
+    if args.depth > len(levels):
+        _usage_error(args, f"--depth {args.depth} exceeds the {len(levels)} levels of --tower")
     return Tower(tuple(levels[: args.depth] if args.depth else levels))
 
 
@@ -177,6 +183,8 @@ def cmd_rotset(args):
 
 
 def cmd_lamination(args):
+    if args.preimage_depth < 0:
+        _usage_error(args, f"--preimage-depth {args.preimage_depth} is negative")
     comb = _tower(args)
     family = build(comb, comb.depth, args.preimage_depth)
     report = verify_unlinked(family)

@@ -41,9 +41,7 @@ def green(params: Params, z: complex) -> float:
     w = complex(z)
     for n in range(_GREEN_MAX_ITER):
         r = abs(w)
-        if r > big:
-            return math.log(r) / (1 << n) if n < 60 else math.log(r) * 2.0 ** (-n)
-        if r > params.escape_radius and n >= 25:
+        if r > big or (r > params.escape_radius and n >= 25):
             return math.log(r) * 2.0 ** (-n)
         w = w * w + params.c
     r = abs(w)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, Arc, angle_from_words, double
+from .circle import Angle, Arc, double
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,14 @@ def sturmian_word(p: int, q: int) -> str:
     return "".join(str(((i + 1) * p) // q - (i * p) // q) for i in range(q))
 
 
+def _cycle(k: int, mod: int) -> list[int]:
+    """Numerators over odd mod of the doubling orbit of k/mod, from k."""
+    orbit = [k]
+    while 2 * orbit[-1] % mod != k:
+        orbit.append(2 * orbit[-1] % mod)
+    return orbit
+
+
 def minimal_rotation_set(nu) -> RotationSet:
     """The unique minimal rotation set with rational rotation number nu.
 
@@ -49,15 +57,11 @@ def minimal_rotation_set(nu) -> RotationSet:
     """
     nu = _check_nu(nu)
     p, q = nu.numerator, nu.denominator
-    if p == 0:
-        return RotationSet((Angle(0),), Fraction(0))
-    seed = angle_from_words("", sturmian_word(p, q))
-    points = [seed]
-    for _ in range(q - 1):
-        points.append(double(points[-1]))
-    points = tuple(sorted(points))
-    if len(set(points)) != q:
+    mod = (1 << q) - 1
+    orbit = _cycle(int(sturmian_word(p, q), 2), mod)
+    if len(orbit) != q:
         raise AssertionError("Sturmian construction produced a degenerate orbit")
+    points = tuple(Angle(k, mod) for k in sorted(orbit))
     if rotation_number(points) != nu:
         raise AssertionError("Sturmian construction failed the rotation-number check")
     return RotationSet(points, nu)
@@ -66,33 +70,28 @@ def minimal_rotation_set(nu) -> RotationSet:
 def minimal_rotation_set_bruteforce(nu) -> RotationSet:
     """Brute-force oracle: search all period-q orbits k/(2^q - 1) of doubling.
 
-    Keeps the orbits on which doubling preserves cyclic order with step p and
+    Keeps the orbits on which doubling moves each sorted point p places, and
     asserts there is exactly one.
     """
     nu = _check_nu(nu)
     p, q = nu.numerator, nu.denominator
-    if p == 0:
-        return RotationSet((Angle(0),), Fraction(0))
     mod = (1 << q) - 1
-    seen = set()
+    seen = bytearray(mod)  # a flag per numerator: 2^q bytes, where a set of ints takes ~60x that
     found = []
-    for k in range(1, mod):
-        if k in seen:
+    for k in range(mod):
+        if seen[k]:
             continue
-        orbit = []
-        x = k
-        while x not in seen:
-            seen.add(x)
-            orbit.append(x)
-            x = (2 * x) % mod
+        orbit = _cycle(k, mod)
+        for x in orbit:
+            seen[x] = 1
         if len(orbit) != q:
             continue
-        pts = tuple(sorted(Angle(j, mod) for j in orbit))
-        if rotation_number(pts) == nu:
-            found.append(pts)
+        orbit.sort()
+        if all(2 * x % mod == orbit[(i + p) % q] for i, x in enumerate(orbit)):
+            found.append(orbit)
     if len(found) != 1:
         raise AssertionError(f"expected a unique minimal rotation set for {nu}, found {len(found)}")
-    return RotationSet(found[0], nu)
+    return RotationSet(tuple(Angle(k, mod) for k in found[0]), nu)
 
 
 def rotation_number(points) -> Fraction | None:

@@ -147,6 +147,9 @@ MALFORMED_TOWERS = [
 ]
 
 
+TWO_LEVELS = '[{"period": 2, "lo": "1/3", "hi": "2/3"}, {"period": 4, "lo": "2/5", "hi": "3/5"}]'
+
+
 MALFORMED_VALUES = [
     ["rotset", "--nu", "abc"],
     ["rotset", "--nu", "1/0"],
@@ -169,6 +172,11 @@ MALFORMED_VALUES = [
     ["telescope", "--c", "-2", "--x", "2", "--r", "nan", "--kappa", "0.5", "--delta", "0.01", "--times", "0,1"],
     ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "inf", "--delta", "0.01", "--times", "0,1"],
     ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta=-inf", "--times", "0,1"],
+    ["tower", "--tower", TWO_LEVELS, "--depth", "-1"],
+    ["tower", "--tower", TWO_LEVELS, "--depth", "3"],
+    ["validate", "--tower", "[]"],
+    ["lamination", "--tower", "feigenbaum", "--depth", "2", "--preimage-depth", "-3"],
+    ["tower", "--tower", "feigenbaum", "--depth", "-1"],
 ]
 
 

@@ -186,6 +186,48 @@ def test_render_deterministic_and_ppm():
     assert len(d1) == len(b"P6\n40 30\n255\n") + 40 * 30 * 3
 
 
+# sha256 of the PPM bytes, recorded with the same setup as PINNED below.  In
+# each scene every layer sets at least one pixel: the README's four-layer
+# scene cut to 4x4 (the ray layer walks its off-screen segments pixel by
+# pixel, so ray scenes stay small) and an equipotential band of the rabbit.
+PINNED_SCENES = [
+    (
+        "readme_four_layers",
+        {
+            "c": [-1.0, 0.0], "width": 4, "height": 4, "center": [0.0, 0.0], "scale": 3.5,
+            "layers": [
+                {"type": "julia", "max_iter": 256},
+                {"type": "equipotential", "level": 0.2, "tol": 0.2},
+                {"type": "ray", "angle": "1/3", "level_min": 1e-6},
+                {"type": "points", "points": [[-0.618, 0.0]], "radius": 1},
+            ],
+        },
+        "13b9b44017957f121206f7425fdcc29014df512f7396a3663aad8197ec3f0332",
+    ),
+    (
+        "rabbit_equipotential",
+        {
+            "c": [-0.122561, 0.744862], "width": 16, "height": 16, "scale": 3.5,
+            "layers": [{"type": "julia", "max_iter": 64}, {"type": "equipotential", "level": 0.1, "tol": 0.5}],
+        },
+        "1a54803c12fc05a349f168f93fdfb157787b80dfaadc168414e2e9edee50c2ef",
+    ),
+]
+DEFAULT_LAYER_COLORS = {"equipotential": (200, 30, 30), "ray": (20, 140, 20), "points": (230, 120, 0)}
+
+
+@pytest.mark.parametrize("scene, digest", [p[1:] for p in PINNED_SCENES], ids=[p[0] for p in PINNED_SCENES])
+def test_render_is_pinned(scene, digest):
+    data = render(scene)
+    assert hashlib.sha256(data).hexdigest() == digest
+    body = data[len(f"P6\n{scene['width']} {scene['height']}\n255\n"):]
+    colors = set(zip(body[0::3], body[1::3], body[2::3]))
+    for layer in scene["layers"][1:]:
+        assert DEFAULT_LAYER_COLORS[layer["type"]] in colors, layer["type"]
+    # the julia layer shows through somewhere
+    assert colors - set(DEFAULT_LAYER_COLORS.values()) - {(255, 255, 255)}
+
+
 # sha256 prefixes of repr(output), so a change in the last bit of any float
 # shows.  Recorded with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux; another
 # numpy build or CPU may round differently.
