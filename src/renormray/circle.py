@@ -212,13 +212,27 @@ class Arc:
         return f"Arc[{self.start}, {self.end}] (len {self.length})"
 
 
-def _segments(arc: Arc) -> list[tuple[Fraction, Fraction]]:
-    """Closed linear segments in [0, 1] covering the arc (split at the wrap)."""
-    s = arc.start.frac
-    e = s + arc.length
-    if e <= 1:
-        return [(s, e)]
-    return [(s, Fraction(1)), (Fraction(0), e - 1)]
+def _meet(a: Arc, b: Arc) -> list[Arc]:
+    """The pieces of positive length shared by two arcs of positive length.
+
+    With d the offset of b's start from a's start, b starts inside a when
+    d < a.length, and b runs on across a's start when d + b.length > 1.
+    """
+    d = (b.start.frac - a.start.frac) % 1
+    pieces = []
+    if d < a.length:
+        pieces.append(Arc(b.start, min(b.length, a.length - d)))
+    if d + b.length > 1:
+        pieces.append(Arc(a.start, min(a.length, d + b.length - 1)))
+    return pieces
+
+
+def _absorb(a: Arc, b: Arc) -> Arc | None:
+    """a extended over b when b starts within a's reach, else None."""
+    d = (b.start.frac - a.start.frac) % 1
+    if d > a.length:
+        return None
+    return Arc(a.start, min(1, max(a.length, d + b.length)))
 
 
 class ArcSet:
@@ -231,50 +245,28 @@ class ArcSet:
     __slots__ = ("arcs",)
 
     def __init__(self, arcs: Iterable[Arc] = ()):
-        object.__setattr__(self, "arcs", self._canonicalize(list(arcs)))
+        object.__setattr__(self, "arcs", self._canonicalize(arcs))
 
     def __setattr__(self, *a):
         raise AttributeError("ArcSet is immutable")
 
     @staticmethod
-    def _canonicalize(arcs: list[Arc]) -> tuple[Arc, ...]:
-        arcs = [a for a in arcs if a.length > 0]
-        if not arcs:
-            return ()
-        if any(a.is_full_circle for a in arcs):
-            return (Arc(Angle(0), Fraction(1)),)
-        segs: list[tuple[Fraction, Fraction]] = []
-        for a in arcs:
-            segs.extend(_segments(a))
-        segs.sort()
-        merged = [list(segs[0])]
-        for s, e in segs[1:]:
-            if s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
+    def _canonicalize(arcs: Iterable[Arc]) -> tuple[Arc, ...]:
+        """Maximal arcs sorted by start; a union covering the circle is Arc(0, 1)."""
+        out: list[Arc] = []
+        for arc in sorted((a for a in arcs if a.length > 0), key=lambda a: a.start.frac):
+            merged = _absorb(out[-1], arc) if out else None
+            if merged is None:
+                out.append(arc)
             else:
-                merged.append([s, e])
-        # merge across the 0/1 wrap point
-        wrap = None
-        if len(merged) > 1 and merged[0][0] == 0 and merged[-1][1] == 1:
-            first = merged.pop(0)
-            last = merged.pop()
-            wrap = Arc(Angle(last[0]), (1 - last[0]) + first[1])
-        elif len(merged) == 1 and merged[0][0] == 0 and merged[0][1] == 1:
+                out[-1] = merged
+        # the last arc may run across 0 over the leading ones
+        while len(out) > 1 and (merged := _absorb(out[-1], out[0])) is not None:
+            out[-1] = merged
+            out.pop(0)
+        if out and out[-1].is_full_circle:
             return (Arc(Angle(0), Fraction(1)),)
-        out = [Arc(Angle(s), e - s) for s, e in merged]
-        if wrap is not None:
-            out.append(wrap)
-        out = [a for a in out if a.length > 0]
-        total = sum((a.length for a in out), Fraction(0))
-        if total > 1:
-            raise ValueError("arc set total length exceeds 1")
-        if total == 1 and len(out) == 1:
-            return (Arc(out[0].start, Fraction(1)),)
         return tuple(out)
-
-    @property
-    def components(self) -> tuple[Arc, ...]:
-        return self.arcs
 
     @property
     def total_length(self) -> Fraction:
@@ -285,18 +277,11 @@ class ArcSet:
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
         """Closed intersection; degenerate single-point overlaps are dropped."""
-        mine = [seg for a in self.arcs for seg in _segments(a)]
-        theirs = [seg for a in other.arcs for seg in _segments(a)]
-        out = []
-        for s1, e1 in mine:
-            for s2, e2 in theirs:
-                lo, hi = max(s1, s2), min(e1, e2)
-                if hi > lo:
-                    out.append(Arc(Angle(lo), hi - lo))
-        return ArcSet(out)
+        return ArcSet(piece for a in self.arcs for b in other.arcs for piece in _meet(a, b))
 
     def is_subset_of(self, other: "ArcSet") -> bool:
-        return self.intersect(other).total_length == self.total_length
+        # canonical forms are unique and intersect drops only single points
+        return self.intersect(other) == self
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ArcSet) and self.arcs == other.arcs
@@ -328,7 +313,7 @@ class LimitAngle:
 
     @classmethod
     def from_angle(cls, t: Angle) -> "LimitAngle":
-        return cls(lambda depth: (t.frac, Fraction(0)), max_depth=10**9)
+        return cls(lambda depth: (t.frac, Fraction(0)), max_depth=1)
 
     def _arc_for_bits(self, nbits: int) -> tuple[Fraction, Fraction]:
         target = Fraction(1, 1 << (nbits + 2))

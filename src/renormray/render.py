@@ -78,11 +78,17 @@ def _draw_disk(img, px, py, radius, color):
 
 def _draw_segment(img, a, b, color, thickness):
     h, w, _ = img.shape
+    rad = int(math.ceil(thickness / 2))
+    # a stamped pixel lies within rad + 0.5 of its sample point, so a segment
+    # whose widened bounding box misses the image stamps nothing
+    margin = rad + 1
+    if (max(a[0], b[0]) < -margin or min(a[0], b[0]) > w - 1 + margin
+            or max(a[1], b[1]) < -margin or min(a[1], b[1]) > h - 1 + margin):
+        return
     steps = max(2, int(abs(b[0] - a[0]) + abs(b[1] - a[1])) * 2)
     for k in range(steps + 1):
         t = k / steps
         x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
-        rad = int(math.ceil(thickness / 2))
         for dy in range(-rad, rad + 1):
             for dx in range(-rad, rad + 1):
                 xi, yi = int(round(x)) + dx, int(round(y)) + dy

@@ -83,7 +83,7 @@ def check_window_algebra() -> Check:
     for n in range(1, _WINDOW_DEPTH + 1):
         pair = comb.level(n)
         p = pair.period
-        for comp in window_at(pair, 1).components:
+        for comp in window_at(pair, 1).arcs:
             if comp.length != pair.width / (1 << p):
                 return Check("window_algebra", False, f"level {n}: wrong component length")
         for j in range(1, p + 1):
@@ -91,9 +91,9 @@ def check_window_algebra() -> Check:
             if delta != pair.width / (1 << (p - j + 1)):
                 return Check("window_algebra", False, f"level {n}, j={j}: wrong Delta")
             sub = subwindow(pair, j)
-            if len(sub.arcs.components) != 4:
+            if len(sub.arcs.arcs) != 4:
                 return Check("window_algebra", False, f"level {n}, j={j}: sub-window not four arcs")
-            if any(a.length != delta / (1 << p) for a in sub.arcs.components):
+            if any(a.length != delta / (1 << p) for a in sub.arcs.arcs):
                 return Check("window_algebra", False, f"level {n}, j={j}: wrong sub-window length")
             # subwindow() itself raises if any sigma^p endpoint image is off
     return Check("window_algebra", True, f"period-doubling tower depth {_WINDOW_DEPTH}")

@@ -270,19 +270,16 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
     """
     if not 1 <= depth <= comb.depth:
         raise ValueError("depth exceeds tower size")
+    lengths = [window_length(pair, 1) for pair in comb.levels]
     for n in range(1, comb.depth):
-        a, b = comb.level(n), comb.level(n + 1)
-        if not window_length(b, 1) < window_length(a, 1):
+        if not lengths[n] < lengths[n - 1]:
             raise ValueError(f"window components do not shrink from level {n} to level {n + 1}")
 
     def left(m: int) -> tuple[Fraction, Fraction]:
-        pair = comb.level(m)
-        return pair.lo.frac, window_length(pair, 1)
+        return comb.level(m).lo.frac, lengths[m - 1]
 
     def right(m: int) -> tuple[Fraction, Fraction]:
-        pair = comb.level(m)
-        d = window_length(pair, 1)
-        return (pair.hi - d).frac, d
+        return (comb.level(m).hi - lengths[m - 1]).frac, lengths[m - 1]
 
     tau1 = LimitAngle(left, max_depth=comb.depth)
     tau2 = LimitAngle(right, max_depth=comb.depth)
@@ -375,7 +372,7 @@ def _half_windows(pair: RayPair) -> tuple[Arc, Arc]:
     else:
         raise ValueError("pair is not a valid renormalization pair: no half-window marker")
     # the half-windows are exactly the components of s_{n,p_n}
-    if {s0, s0p} != set(window_at(pair, pair.period).components):
+    if {s0, s0p} != set(window_at(pair, pair.period).arcs):
         raise ValueError("inconsistent pair: half-windows are not the components of s_{n,p_n}")
     return s0, s0p
 
@@ -510,8 +507,8 @@ def validate(comb: Tower) -> ValidationReport:
         add("nesting_S", n + 1, nest_big, f"[{b.lo},{b.hi}] in [{a.lo},{a.hi}]")
         try:
             nest_small = window_at(b, 1).is_subset_of(window_at(a, 1))
-        except ValueError as exc:
-            nest_small, _ = False, exc
+        except ValueError:
+            nest_small = False
         add("nesting_s", n + 1, nest_small, "s_{n+1,1} in s_{n,1}")
     level_chords = []
     for n, pair in enumerate(comb.levels, start=1):

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from renormray.circle import (
     Angle,
     Arc,
     ArcSet,
     LimitAngle,
+    _meet,
     angle_from_words,
     binary_words,
     double,
@@ -90,23 +91,140 @@ def test_arc_contains_wraps():
 @given(st.lists(st.tuples(rationals, st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=10**4)), max_size=4))
 def test_arcset_canonical_order_independent(pieces):
     arcs = [Arc(Angle(s), l) for s, l in pieces]
-    assert ArcSet(arcs).components == ArcSet(reversed(arcs)).components
+    assert ArcSet(arcs).arcs == ArcSet(reversed(arcs)).arcs
 
 
 def test_arcset_merges_touching():
     s = ArcSet([Arc(Angle(0), Fraction(1, 4)), Arc(Angle(1, 4), Fraction(1, 4))])
-    assert len(s.components) == 1
-    assert s.components[0].length == Fraction(1, 2)
+    assert len(s.arcs) == 1
+    assert s.arcs[0].length == Fraction(1, 2)
 
 
 def test_arcset_wrap_merge():
     s = ArcSet([Arc(Angle(7, 8), Fraction(1, 4)), Arc(Angle(1, 2), Fraction(1, 8))])
-    assert len(s.components) == 2
+    assert len(s.arcs) == 2
     assert s.contains(Angle(0))
 
 
+# Reference implementation, the segment-based ArcSet that the cyclic merge
+# replaced: cut each arc into linear segments of [0, 1], merge the segments,
+# and stitch the piece across 0 back together.
+
+
+def _ref_segments(arc):
+    s = arc.start.frac
+    e = s + arc.length
+    if e <= 1:
+        return [(s, e)]
+    return [(s, Fraction(1)), (Fraction(0), e - 1)]
+
+
+def _ref_canonical(arcs):
+    arcs = [a for a in arcs if a.length > 0]
+    if not arcs:
+        return ()
+    if any(a.is_full_circle for a in arcs):
+        return (Arc(Angle(0), Fraction(1)),)
+    segs = []
+    for a in arcs:
+        segs.extend(_ref_segments(a))
+    segs.sort()
+    merged = [list(segs[0])]
+    for s, e in segs[1:]:
+        if s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    wrap = None
+    if len(merged) > 1 and merged[0][0] == 0 and merged[-1][1] == 1:
+        first = merged.pop(0)
+        last = merged.pop()
+        wrap = Arc(Angle(last[0]), (1 - last[0]) + first[1])
+    elif len(merged) == 1 and merged[0][0] == 0 and merged[0][1] == 1:
+        return (Arc(Angle(0), Fraction(1)),)
+    out = [Arc(Angle(s), e - s) for s, e in merged]
+    if wrap is not None:
+        out.append(wrap)
+    out = [a for a in out if a.length > 0]
+    total = sum((a.length for a in out), Fraction(0))
+    if total > 1:
+        raise ValueError("arc set total length exceeds 1")
+    if total == 1 and len(out) == 1:
+        return (Arc(out[0].start, Fraction(1)),)
+    return tuple(out)
+
+
+def _ref_intersect(xs, ys):
+    pieces = []
+    for s1, e1 in [seg for a in xs for seg in _ref_segments(a)]:
+        for s2, e2 in [seg for a in ys for seg in _ref_segments(a)]:
+            lo, hi = max(s1, s2), min(e1, e2)
+            if hi > lo:
+                pieces.append(Arc(Angle(lo), hi - lo))
+    return _ref_canonical(pieces)
+
+
 def _overlap_oracle(x, y):
-    return ArcSet([x]).intersect(ArcSet([y])).total_length > 0
+    return bool(_ref_intersect([x], [y]))
+
+
+# starts and lengths on a coarse grid, so shared endpoints, arcs that touch
+# across 0 and exact half and full circles are common
+grid = st.sampled_from([Fraction(k, 24) for k in range(25)])
+family_arcs = st.builds(
+    Arc,
+    grid.map(Angle),
+    st.one_of(grid, st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]), st.fractions(0, 1, max_denominator=60)),
+)
+families = st.lists(family_arcs, max_size=9)
+
+
+@settings(max_examples=250)
+@given(families, families)
+def test_arcset_matches_reference(xs, ys):
+    x, y = ArcSet(xs), ArcSet(ys)
+    assert x.arcs == _ref_canonical(xs)
+    assert x.intersect(y).arcs == _ref_intersect(x.arcs, y.arcs)
+    assert x.is_subset_of(y) == (_ref_intersect(x.arcs, y.arcs) == x.arcs)
+    assert ArcSet(xs[: len(xs) // 2]).is_subset_of(x)
+
+
+@settings(max_examples=250)
+@given(family_arcs.filter(lambda a: a.length > 0), family_arcs.filter(lambda a: a.length > 0))
+def test_meet_matches_reference(a, b):
+    # the per-pair intersection hands on only pieces of positive length
+    pieces = _meet(a, b)
+    assert all(p.length > 0 for p in pieces)
+    assert ArcSet(pieces).arcs == _ref_intersect([a], [b])
+
+
+@pytest.mark.parametrize(
+    "arcs, expected",
+    [
+        # the last arc runs across 0 over two leading arcs
+        ([(0, Fraction(1, 16)), (Fraction(1, 8), Fraction(1, 16)), (Fraction(3, 4), Fraction(1, 2))], [(Fraction(3, 4), Fraction(1, 2))]),
+        # two half-circles join into the full circle
+        ([(Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 2))], [(0, 1)]),
+        ([(Fraction(1, 2), Fraction(1, 2)), (0, Fraction(1, 2))], [(0, 1)]),
+        # overlap beyond a full turn is capped at the full circle
+        ([(0, Fraction(3, 4)), (Fraction(1, 2), Fraction(3, 4))], [(0, 1)]),
+        # an arc of length 1 is the full circle, whatever its start
+        ([(Fraction(1, 3), 1)], [(0, 1)]),
+        # an arc that ends exactly at 0 keeps its start when no arc starts at 0
+        ([(Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 2), Fraction(1, 8))],
+         [(Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 2), Fraction(1, 8)), (Fraction(3, 4), Fraction(1, 4))]),
+    ],
+)
+def test_arcset_canonical_examples(arcs, expected):
+    got = ArcSet(Arc(Angle(s), l) for s, l in arcs).arcs
+    assert got == tuple(Arc(Angle(s), l) for s, l in expected)
+    assert got == _ref_canonical([Arc(Angle(s), l) for s, l in arcs])
+
+
+def test_meet_touching_arcs_share_nothing():
+    # the arcs meet only at their ends, on either side of 0
+    assert _meet(Arc(Angle(0), Fraction(1, 4)), Arc(Angle(3, 4), Fraction(1, 4))) == []
+    assert _meet(Arc(Angle(3, 4), Fraction(1, 2)), Arc(Angle(1, 4), Fraction(1, 2))) == []
 
 
 arc_lengths = st.one_of(
@@ -156,3 +274,17 @@ def test_limit_angle_budget_exhaustion():
     lim = LimitAngle(lambda d: (Fraction(0), Fraction(1, 2 ** d)), max_depth=3)
     with pytest.raises(ValueError):
         lim.prefix_bits(30)
+
+
+@pytest.mark.parametrize(
+    "start, nbits, expected",
+    [
+        (Fraction(1, 2) - Fraction(1, 1 << 20), 4, 8),  # straddles 1/2: the upper cell
+        (Fraction(3, 8) - Fraction(1, 1 << 20), 3, 3),  # straddles 3/8
+        (1 - Fraction(1, 1 << 20), 4, 0),  # runs past 1: the upper cell is the one at 0
+    ],
+)
+def test_limit_angle_prefix_across_dyadic_boundary(start, nbits, expected):
+    lim = LimitAngle(lambda d: (start, Fraction(1, 1 << 19)), max_depth=1)
+    assert lim.prefix_bits(nbits) == expected
+    assert lim.refine(nbits) == Angle(expected, 1 << nbits)

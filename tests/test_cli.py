@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from renormray import build, export_svg, feigenbaum_tower
 from renormray.cli import run
 
 
@@ -343,3 +344,72 @@ def test_stdout_is_pinned(capsys, argv, expected):
     code, out = invoke(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+OMEGA_HITS = """\
+{
+  "hits": [
+    {
+      "first_hit": 23,
+      "target": "6757/32768"
+    },
+    {
+      "first_hit": null,
+      "target": "1/3"
+    }
+  ]
+}
+"""
+OMEGA_ARGV = ["omega", "--tower", "feigenbaum", "--depth", "10", "--targets", "6757/32768", "1/3", "--bits", "8"]
+
+
+def test_omega_first_hits(capsys):
+    code, out = invoke(capsys, *OMEGA_ARGV, "--horizon", "512")
+    assert code == 0
+    assert out == OMEGA_HITS
+
+
+def test_omega_horizon_beyond_depth_is_domain_error(capsys):
+    code = run([*OMEGA_ARGV, "--horizon", "4096"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: insufficient depth"]
+
+
+def test_selftest_passes(capsys):
+    code, out = invoke(capsys, "selftest")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"]
+    assert [c["name"] for c in data["checks"]] == [
+        "rotation_oracle", "window_algebra", "semiconjugacy", "unlinked", "shadow_consistency"
+    ]
+    assert all(c["pass"] for c in data["checks"])
+
+
+def test_lamination_svg_to_stdout(capsys):
+    code, out = invoke(capsys, "lamination", "--tower", "feigenbaum", "--depth", "3")
+    assert code == 0
+    assert out == export_svg(build(feigenbaum_tower(3), 3, 0)) + "\n"
+
+
+def test_linked_lamination_is_domain_error(capsys):
+    linked = '[{"period": 2, "lo": "1/3", "hi": "2/3"}, {"period": 3, "lo": "1/7", "hi": "2/7"}]'
+    code = run(["lamination", "--tower", linked])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("<?xml")
+    assert captured.err.splitlines() == ["error: chord family is linked"]
+
+
+def test_aborted_ray_is_strict_json_and_exit_1(capsys):
+    code = run(["ray", "--c", "-2", "--t", "1/4"])
+    captured = capsys.readouterr()
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    assert json.loads(captured.out, parse_constant=reject)["aborted"] is True
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

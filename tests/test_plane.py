@@ -188,8 +188,9 @@ def test_render_deterministic_and_ppm():
 
 # sha256 of the PPM bytes, recorded with the same setup as PINNED below.  In
 # each scene every layer sets at least one pixel: the README's four-layer
-# scene cut to 4x4 (the ray layer walks its off-screen segments pixel by
-# pixel, so ray scenes stay small) and an equipotential band of the rabbit.
+# scene cut to 4x4, the basilica's 1/3 ray at 32x32 (it starts far off the
+# image, so off-image segments must be skipped without changing a pixel) and
+# an equipotential band of the rabbit.
 PINNED_SCENES = [
     (
         "readme_four_layers",
@@ -203,6 +204,14 @@ PINNED_SCENES = [
             ],
         },
         "13b9b44017957f121206f7425fdcc29014df512f7396a3663aad8197ec3f0332",
+    ),
+    (
+        "basilica_ray_32",
+        {
+            "c": [-1.0, 0.0], "width": 32, "height": 32, "center": [0.0, 0.0], "scale": 3.5,
+            "layers": [{"type": "julia", "max_iter": 64}, {"type": "ray", "angle": "1/3", "level_min": 1e-6}],
+        },
+        "d870a3886e2ac0b08c47e77ffc5ec7b4246b2aa71b56312bad1fc90dd068dc1d",
     ),
     (
         "rabbit_equipotential",

@@ -54,7 +54,7 @@ def test_tune_substitutes_words():
 
 def test_window_first_level():
     pair = feigenbaum_tower(1).level(1)
-    comps = window_at(pair, 1).components
+    comps = window_at(pair, 1).arcs
     assert [(str(a.start), str(a.end)) for a in comps] == [("1/3", "5/12"), ("7/12", "2/3")]
     _, lo1, hi1, _ = window_endpoints(pair, 1)
     assert lo1 == Angle(5, 12) and hi1 == Angle(7, 12)
@@ -71,7 +71,7 @@ def test_window_at_length_formula():
     pair = feigenbaum_tower(3).level(3)
     for j in range(1, pair.period + 1):
         s = window_at(pair, j)
-        assert all(a.length == window_length(pair, j) for a in s.components)
+        assert all(a.length == window_length(pair, j) for a in s.arcs)
         assert window_length(pair, j) == pair.width / (1 << (pair.period - j + 1))
 
 
@@ -80,13 +80,13 @@ def test_window_shift_is_sigma_image():
     pair = feigenbaum_tower(2).level(2)
     for j in range(1, pair.period):
         image = sorted((Arc(double(a.start), 2 * a.length) for a in window_at(pair, j)), key=lambda a: a.start)
-        assert image == sorted(window_at(pair, j + 1).components, key=lambda a: a.start)
+        assert image == sorted(window_at(pair, j + 1).arcs, key=lambda a: a.start)
 
 
 def test_subwindow_example():
     pair = feigenbaum_tower(1).level(1)
     sub = subwindow(pair, 2)
-    got = [(str(a.start), str(a.end)) for a in sub.arcs.components]
+    got = [(str(a.start), str(a.end)) for a in sub.arcs.arcs]
     assert got == [("1/6", "5/24"), ("7/24", "1/3"), ("2/3", "17/24"), ("19/24", "5/6")]
 
 
@@ -95,7 +95,7 @@ def test_subwindow_maps_onto_windows():
     for j in range(1, pair.period + 1):
         sub = subwindow(pair, j)
         p = pair.period
-        targets = {(a.start, a.end) for a in window_at(pair, j).components}
+        targets = {(a.start, a.end) for a in window_at(pair, j).arcs}
         for arc in sub.labeled.values():
             img = (sigma_pow(arc.start, p), sigma_pow(arc.end, p))
             assert img in targets
@@ -175,7 +175,7 @@ def test_component_shadow_critical():
     comb = feigenbaum_tower(3)
     addr = ComponentAddress.critical(comb, 3)
     shad = shadow_component(comb, addr, 3)
-    assert len(shad.components.components) <= 4
+    assert len(shad.components.arcs) <= 4
     assert shad.components.total_length > 0
     assert shad.classification == "case2(0)"
 
@@ -326,15 +326,48 @@ SHORT_AVOIDING_REPORT = [
 ]
 
 
+# level 2 is periodic but 13/15 wide, so its window cannot be built and
+# nesting_s fails without a witness
+WIDE_INNER_REPORT = [
+    {"check": "pair_periodic", "level": 1, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 1, "pass": True, "witness": "width 1/3"},
+    {"check": "pair_periodic", "level": 2, "pass": True, "witness": ""},
+    {"check": "pair_width", "level": 2, "pass": False, "witness": "width 13/15"},
+    {"check": "period_divisibility", "level": 2, "pass": True, "witness": "4 over 2"},
+    {"check": "nesting_S", "level": 2, "pass": False, "witness": "[1/15,14/15] in [1/3,2/3]"},
+    {"check": "nesting_s", "level": 2, "pass": False, "witness": "s_{n+1,1} in s_{n,1}"},
+    {"check": "orbit_exclusion", "level": 1, "pass": True, "witness": ""},
+    {"check": "unlinked_chords", "level": 1, "pass": True, "witness": ""},
+    {"check": "min_length_2inf", "level": 1, "pass": True, "witness": ""},
+    {
+        "check": "orbit_exclusion",
+        "level": 2,
+        "pass": False,
+        "witness": "sigma^1 hits 2/15; sigma^1 hits 13/15; sigma^2 hits 4/15; sigma^2 hits 11/15; "
+        "sigma^3 hits 8/15; sigma^3 hits 7/15",
+    },
+    {"check": "unlinked_chords", "level": 2, "pass": True, "witness": ""},
+    {
+        "check": "min_length_2inf",
+        "level": 2,
+        "pass": False,
+        "witness": "k=1: no arc avoids S_n interior; k=2: no arc avoids S_n interior; "
+        "k=3: no arc avoids S_n interior",
+    },
+    {"check": "unlinked_across_levels", "level": 0, "pass": True, "witness": ""},
+]
+
+
 @pytest.mark.parametrize(
     "levels, expected",
     [
         ((RayPair(2, Angle(1, 3), Angle(2, 3)), RayPair(3, Angle(1, 7), Angle(2, 7))), SPLICED_REPORT),
+        ((RayPair(2, Angle(1, 3), Angle(2, 3)), RayPair(4, Angle(1, 15), Angle(14, 15))), WIDE_INNER_REPORT),
         ((RayPair(4, Angle(1, 15), Angle(3, 15)),), SELF_LINKED_REPORT),
         ((RayPair(3, Angle(1, 7), Angle(6, 7)),), WIDE_REPORT),
         ((RayPair(4, Angle(1, 15), Angle(7, 15)),), SHORT_AVOIDING_REPORT),
     ],
-    ids=["spliced", "self_linked", "wide", "short_avoiding"],
+    ids=["spliced", "wide_inner", "self_linked", "wide", "short_avoiding"],
 )
 def test_validate_report_is_pinned(levels, expected):
     # the full report: every check, its order, and the witnesses with their order
