@@ -268,10 +268,6 @@ class ArcSet:
             return (Arc(Angle(0), Fraction(1)),)
         return tuple(out)
 
-    @property
-    def total_length(self) -> Fraction:
-        return sum((a.length for a in self.arcs), Fraction(0))
-
     def contains(self, t: Angle) -> bool:
         return any(a.contains(t) for a in self.arcs)
 

@@ -9,11 +9,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circle import Angle, sigma_pow
 
 _GREEN_MAX_ITER = 2048  # iteration cap of green()
+_EA_BLOCK = 1 << 15  # entries of periodic_points' difference block (512 KB)
 _RAY_STEPS_PER_HALVING = 6  # trace_ray level steps per halving of the level
 _RAY_NEWTON_TOL = 1e-12  # trace_ray Newton residual, relative to 1 + |target|
 _RAY_LANDING_TOL = 1e-9  # trace_ray tail spread below which a ray has landed
@@ -136,8 +135,14 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
     """All 2^m roots of f^m(z) = z with their multipliers (f^m)'(z).
 
     Uses Ehrlich-Aberth on the black-box map, so no explicit coefficients of
-    the degree-2^m polynomial are ever formed.
+    the degree-2^m polynomial are ever formed.  The pairwise differences of
+    the n = 2^m roots are summed a block of rows at a time in one buffer of
+    at most _EA_BLOCK entries, not in an n x n matrix (16 MB at m = 10, and
+    peak RSS then depends on where malloc places it).  Each row's sum is
+    the same as over the full matrix.
     """
+    import numpy as np
+
     if not 1 <= m <= 12:
         raise ValueError("period must lie in 1..12")
     c = params.c
@@ -150,13 +155,17 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
     radius = 0.5 + math.sqrt(0.25 + abs(c)) + 0.3
     ks = np.arange(n)
     z = radius * np.exp(2j * math.pi * (ks + 0.37) / n) + 0.01j
+    rows = min(n, max(1, _EA_BLOCK // n))  # powers of two: rows divides n
+    diff = np.empty((rows, n), dtype=complex)
+    s = np.empty(n, dtype=complex)
     for _ in range(200):
         p, dp = p_and_dp(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dp != 0, p / dp, 0.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
+        for r0 in range(0, n, rows):
+            np.subtract(z[r0 : r0 + rows, None], z[None, :], out=diff)
+            diff.reshape(-1)[r0 :: n + 1] = np.inf  # the entries (i, i)
+            np.sum(np.divide(1.0, diff, out=diff), axis=1, out=s[r0 : r0 + rows])
         denom = 1.0 - newton * s
         step = np.where(np.abs(denom) > 1e-14, newton / denom, newton)
         z = z - step

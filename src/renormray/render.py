@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .circle import Angle
 from .plane import Params, green, trace_ray
 
 
 def _grid(scene):
+    import numpy as np
+
     w, h = int(scene.get("width", 600)), int(scene.get("height", 600))
     cx, cy = scene.get("center", [0.0, 0.0])
     scale = float(scene.get("scale", 3.5))
@@ -37,6 +37,8 @@ def _grid(scene):
 
 
 def _escape_rows(c, xs, ys, max_iter):
+    import numpy as np
+
     out = np.zeros((len(ys), len(xs)), dtype=np.float64)
     for i, y in enumerate(ys):
         z = xs + 1j * y
@@ -98,6 +100,8 @@ def _draw_segment(img, a, b, color, thickness):
 
 def render(scene: dict) -> bytes:
     """Render a scene dict to binary PPM (P6) bytes."""
+    import numpy as np
+
     c = complex(*scene["c"])
     geom = _grid(scene)
     w, h, xs, ys, step = geom

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import renormray
 from renormray import build, export_svg, feigenbaum_tower
 from renormray.cli import run
 
@@ -413,3 +418,52 @@ def test_aborted_ray_is_strict_json_and_exit_1(capsys):
 
     assert json.loads(captured.out, parse_constant=reject)["aborted"] is True
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+# Each argv runs through cli.run in one fresh interpreter, which reports the
+# exit code and whether numpy was loaded by then.  Only the subcommands that
+# work on arrays (periodic, beta, render) may load it; the last argv is the
+# positive control.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from renormray.cli import run
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+WITHOUT_NUMPY = [
+    (["tower", "--tower", "feigenbaum", "--depth", "3"], 0),
+    (["window", "--tower", "feigenbaum", "--depth", "2", "--level", "2", "--j", "3", "--sub"], 0),
+    (["shadow", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--j", "1", "--t", "2/5"], 0),
+    (["shadow", "--tower", "feigenbaum", "--depth", "4", "--kc", "--bits", "8"], 0),
+    (["theta", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--t", "4/5"], 0),
+    ([*OMEGA_ARGV, "--horizon", "512"], 0),
+    (["validate", "--tower", "rabbit", "--depth", "2"], 0),
+    (["rotset", "--nu", "1/3"], 0),
+    (["lamination", "--tower", "feigenbaum", "--depth", "3"], 0),
+    (["selftest"], 0),
+    (["rotset", "--nu", "3/2"], 2),
+    (["tower", "--tower", "feigenbaum"], 2),
+    (["periodic", "--c", "0", "--m", "two"], 2),
+    (["ray", "--c", "nan", "--t", "1/3"], 2),
+    (["render", "--scene", "no-such-scene.json", "--out", "x.ppm"], 1),
+    (["ray", "--c", "-1", "--t", "1/3", "--level-min", "1e-6"], 0),
+    (["green", "--c", "0", "--z", "2"], 0),
+    (["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01", "--times", "0,1"], 0),
+]
+
+
+def test_numpy_loads_only_for_array_subcommands(tmp_path):
+    argvs = [argv for argv, _ in WITHOUT_NUMPY] + [["periodic", "--c", "0", "--m", "2"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(renormray.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    expected = [[code, False] for _, code in WITHOUT_NUMPY] + [[0, True]]
+    assert dict(zip(map(" ".join, argvs), seen)) == dict(zip(map(" ".join, argvs), expected))

@@ -70,6 +70,15 @@ def test_every_definition_is_read():
 EXACT_LAYER = ("circle.py", "rotation.py", "towers.py", "lamination.py")
 
 
+def absolute_imports(node):
+    """Top-level package names an import statement loads; [] for anything else."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
 def test_exact_layer_imports_only_stdlib():
     # the exact layer is stdlib fractions only: no numpy, no third-party package
     found = []
@@ -77,15 +86,34 @@ def test_exact_layer_imports_only_stdlib():
         if path.name not in EXACT_LAYER:
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
+            for top in absolute_imports(node):
                 if top not in sys.stdlib_module_names and top != "renormray":
-                    found.append(f"{path.name}:{node.lineno} {name}")
+                    found.append(f"{path.name}:{node.lineno} {top}")
     assert sorted(p.name for p, _ in package_modules() if p.name in EXACT_LAYER) == sorted(EXACT_LAYER)
     assert not found, found
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # numpy costs more to import than the exact layer costs to run, so only
+    # the functions that build arrays import it: `import renormray` stays light
+    found = []
+    for path, tree in package_modules():
+        in_function = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in in_function and "numpy" in absolute_imports(node)
+        ]
+    assert not found, found
+
+
+def test_render_attribute_stays_the_function():
+    # importing the submodule must not rebind the package's re-exported name
+    import renormray.render
+
+    assert callable(renormray.render) and renormray.render.__name__ == "render"

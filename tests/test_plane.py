@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from renormray import plane
 from renormray.circle import Angle
 from renormray.lamination import build, export_svg
 from renormray.plane import (
@@ -82,6 +83,18 @@ def test_periodic_points_squaring():
     assert roots == pytest.approx([0.0, 1.0], abs=1e-10)
     mults = sorted(abs(m) for _, m in pts)
     assert mults == pytest.approx([0.0, 2.0], abs=1e-10)
+
+
+@pytest.mark.parametrize("block", [1, 16, 1 << 9])
+def test_periodic_points_blocks_match_full_matrix(monkeypatch, block):
+    """Summing the Ehrlich-Aberth differences one row block at a time (a block
+    of 1 entry is one row) gives the same bits as one block holding all
+    n x n entries."""
+    params = Params(0.1 + 0.2j)
+    monkeypatch.setattr(plane, "_EA_BLOCK", 1 << 10)  # n = 32: one 32 x 32 block
+    full = periodic_points(params, 5)
+    monkeypatch.setattr(plane, "_EA_BLOCK", block)
+    assert repr(periodic_points(params, 5)) == repr(full)
 
 
 def test_periodic_points_basilica_fixed():
@@ -243,7 +256,9 @@ def test_render_is_pinned(scene, digest):
 PINNED = [
     *[(f"periodic_points(-1, {m})", lambda m=m: periodic_points(Params(-1), m), digest)
       for m, digest in enumerate(["be822ea1d22ae61f", "b85a489ce8be6545", "d4b798cf71122df4",
-                                  "f4f004b2146005d4", "55e5150a7601520a", "6dc33225dfd9fba1"], start=1)],
+                                  "f4f004b2146005d4", "55e5150a7601520a", "6dc33225dfd9fba1",
+                                  # n = 128 and 256 roots: one and two row blocks of differences
+                                  "d89e9f5bc710b7de", "ecf5e390fbeffc89"], start=1)],
     ("periodic_points(0.1+0.2j, 4)", lambda: periodic_points(Params(0.1 + 0.2j), 4), "d684fc724d2e6800"),
     ("trace_ray(-1, 1/3)", lambda: trace_ray(Params(-1), Angle(1, 3), level_min=1e-9), "a6c32441a00a1964"),
     ("beta_point(-1, F1, 1)", lambda: beta_point(Params(-1), feigenbaum_tower(1), 1), "7d85833e5d658c73"),

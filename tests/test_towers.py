@@ -176,7 +176,7 @@ def test_component_shadow_critical():
     addr = ComponentAddress.critical(comb, 3)
     shad = shadow_component(comb, addr, 3)
     assert len(shad.components.arcs) <= 4
-    assert shad.components.total_length > 0
+    assert sum(a.length for a in shad.components.arcs) > 0
     assert shad.classification == "case2(0)"
 
 
