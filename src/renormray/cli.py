@@ -59,6 +59,8 @@ def _complex(text: str) -> complex:
 def _tower(args) -> Tower:
     if args.depth < 0:
         _usage_error(args, f"--depth {args.depth} is negative")
+    if args.tower in ("feigenbaum", "rabbit") and not args.depth:
+        _usage_error(args, f"--tower {args.tower} needs --depth")
     if args.tower == "feigenbaum":
         return feigenbaum_tower(args.depth)
     if args.tower == "rabbit":
@@ -401,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tower", None) in ("feigenbaum", "rabbit") and not args.depth:
-        parser.error("named towers need --depth")
     try:
         args.handler(args)
     except (DomainError, OSError, ValueError, ArithmeticError) as exc:

@@ -151,17 +151,10 @@ def export_svg(family, circular_arcs: bool = False) -> str:
     ]
     for chord in sorted(family, key=lambda c: (c.a.frac, c.b.frac)):
         (x1, y1), (x2, y2) = _point(chord.a), _point(chord.b)
-        if circular_arcs:
+        gap = (chord.b.frac - chord.a.frac) % 1
+        if circular_arcs and gap != Fraction(1, 2):
             # hyperbolic geodesic: circular arc orthogonal to the unit circle
-            gap = (chord.b.frac - chord.a.frac) % 1
-            if gap == Fraction(1, 2):
-                lines.append(
-                    f'<line x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" '
-                    f'stroke="black" stroke-width="{_STROKE_WIDTH:.6f}"/>'
-                )
-                continue
-            half = math.pi * float(gap)
-            r = abs(math.tan(half))
+            r = abs(math.tan(math.pi * float(gap)))
             sweep = 1 if gap < Fraction(1, 2) else 0
             lines.append(
                 f'<path d="M {x1:.6f} {y1:.6f} A {r:.6f} {r:.6f} 0 0 {sweep} {x2:.6f} {y2:.6f}" '

@@ -84,6 +84,8 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
         raise ValueError("level_min must be positive")
     c = params.c
     base = max(math.log(1e4), math.log(params.escape_radius) + 1.0)
+    if level_min >= base:
+        raise ValueError(f"level_min must be below the start level {base:.6g}")
     path = RayPath(angle=t)
     level = base
     n = 0

@@ -358,47 +358,32 @@ class ThetaResult:
     boundary_collapse: bool
 
 
-def _half_windows(pair: RayPair) -> tuple[Arc, Arc]:
-    """(S_{n,0}, S'_{n,0}): components of sigma^(-1)(S_{n,1}), labelled so that
-    S_{n,0} has sigma^(p-1)(t_n) on its boundary."""
-    half = pair.width / 2
-    c0 = Arc(Angle(pair.lo.frac / 2), half)
-    c1 = Arc(Angle(pair.lo.frac / 2 + HALF), half)
-    marker = sigma_pow(pair.lo, pair.period - 1)
-    if marker in (c0.start, c0.start + c0.length):
-        s0, s0p = c0, c1
-    elif marker in (c1.start, c1.start + c1.length):
-        s0, s0p = c1, c0
-    else:
-        raise ValueError("pair is not a valid renormalization pair: no half-window marker")
-    # the half-windows are exactly the components of s_{n,p_n}
-    if {s0, s0p} != set(window_at(pair, pair.period).arcs):
-        raise ValueError("inconsistent pair: half-windows are not the components of s_{n,p_n}")
-    return s0, s0p
-
-
 def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     """Itinerary semiconjugacy collapsing level-n window dynamics to doubling.
 
     theta(t) = sum_j eps(sigma^(j p)(t)) / 2^(j+1) with eps = 0 on S_{n,0} and
-    1 on S'_{n,0}; exact because the itinerary of a rational t is eventually
-    periodic.  Orbits meeting the boundary of the two half-windows are flagged
-    (eps = 0 is used there as a tie-break).  The exact semiconjugacy identity
-    theta(sigma^p(t)) = 2 theta(t) is checked before returning.
+    1 on S'_{n,0}, the components of s_{n,p} holding the lo and hi arcs of
+    s^1_{n,p}; exact because the itinerary of a rational t is eventually
+    periodic.  One sigma^p orbit walk over those four arcs checks the shadow
+    precondition and reads the itinerary.  Orbits meeting an endpoint of
+    s_{n,p} are flagged (eps = 0 is used there as a tie-break).  A second
+    walk checks theta(sigma^p(t)) = 2 theta(t) exactly before returning.
     """
     pair = comb.level(n)
-    if not in_shadow(t, comb, n, pair.period):
+    labeled = subwindow(pair, pair.period).labeled
+    result = _theta_value(t, pair.period, labeled)
+    if result is None:
         raise ValueError(f"{t} is not in the level-{n} shadow of the small Julia set")
-    s0, s0p = _half_windows(pair)
-    value, flagged = _theta_value(t, pair.period, s0, s0p)
-    check, _ = _theta_value(sigma_pow(t, pair.period), pair.period, s0, s0p)
-    if check != double(value):
+    check = _theta_value(sigma_pow(t, pair.period), pair.period, labeled)
+    if check is None or check.value != double(result.value):
         raise ValueError("semiconjugacy identity failed")
-    return ThetaResult(value, flagged)
+    return result
 
 
-def _theta_value(t: Angle, p: int, s0: Arc, s0p: Arc) -> tuple[Angle, bool]:
-    boundary = {s0.start, s0.start + s0.length, s0p.start, s0p.start + s0p.length}
+def _theta_value(t: Angle, p: int, labeled: dict) -> ThetaResult | None:
+    """The itinerary of t's sigma^p orbit, or None if the orbit leaves the arcs."""
+    lo, hi = (labeled["lo_outer"], labeled["lo_inner"]), (labeled["hi_inner"], labeled["hi_outer"])
+    boundary = {lo[0].start, lo[1].end, hi[0].start, hi[1].end}
     index: dict[Angle, int] = {}
     bits: list[str] = []
     flagged = False
@@ -408,17 +393,15 @@ def _theta_value(t: Angle, p: int, s0: Arc, s0p: Arc) -> tuple[Angle, bool]:
         if u in boundary:
             flagged = True
             bits.append("0")
-        elif s0.contains(u):
+        elif any(arc.contains(u) for arc in lo):
             bits.append("0")
-        elif s0p.contains(u):
+        elif any(arc.contains(u) for arc in hi):
             bits.append("1")
         else:
-            raise ValueError(f"orbit point {u} escapes the half-windows")
+            return None
         u = sigma_pow(u, p)
     start = index[u]
-    pre = "".join(bits[:start])
-    per = "".join(bits[start:])
-    return angle_from_words(pre, per), flagged
+    return ThetaResult(angle_from_words("".join(bits[:start]), "".join(bits[start:])), flagged)
 
 
 def omega_probe(source, targets, horizon: int, bits: int):

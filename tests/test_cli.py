@@ -43,12 +43,6 @@ def test_tower(capsys):
     assert [lv["period"] for lv in levels] == [2, 4, 8]
 
 
-def test_named_tower_needs_depth():
-    with pytest.raises(SystemExit) as exc:
-        run(["tower", "--tower", "feigenbaum"])
-    assert exc.value.code == 2
-
-
 def test_validate_pass(capsys):
     code, out = invoke(capsys, "validate", "--tower", "rabbit", "--depth", "2")
     assert code == 0
@@ -183,6 +177,7 @@ MALFORMED_VALUES = [
     ["validate", "--tower", "[]"],
     ["lamination", "--tower", "feigenbaum", "--depth", "2", "--preimage-depth", "-3"],
     ["tower", "--tower", "feigenbaum", "--depth", "-1"],
+    ["tower", "--tower", "feigenbaum"],
 ]
 
 
@@ -220,6 +215,7 @@ MALFORMED_SCENES = [
     '{"c": [1e400, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
     '{"c": [0, 0], "width": 4, "height": 4, "scale": NaN, "layers": [{"type": "julia"}]}',
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "equipotential", "level": NaN}]}',
+    '{"c": [-1, 0], "width": 4, "height": 4, "layers": [{"type": "ray", "angle": "1/3", "level_min": 1e3}]}',
 ]
 
 
@@ -406,6 +402,16 @@ def test_linked_lamination_is_domain_error(capsys):
     assert code == 1
     assert captured.out.startswith("<?xml")
     assert captured.err.splitlines() == ["error: chord family is linked"]
+
+
+@pytest.mark.parametrize("level_min", ["9.3", "1e3"])
+def test_ray_level_min_above_start_level_is_domain_error(capsys, level_min):
+    # a ray that never descends must not report that it landed
+    code = run(["ray", "--c", "-1", "--t", "1/3", "--level-min", level_min])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_aborted_ray_is_strict_json_and_exit_1(capsys):

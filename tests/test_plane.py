@@ -59,6 +59,13 @@ def test_ray_basilica_alpha():
         assert abs(path.landing - ALPHA) < 1e-6
 
 
+@pytest.mark.parametrize("level_min", [9.3, 1e3])
+def test_ray_level_min_at_or_above_start_level_raises(level_min):
+    # the descent starts at level max(ln 1e4, ln(escape radius) + 1) ~ 9.21
+    with pytest.raises(ValueError, match="start level"):
+        trace_ray(Params(-1), Angle(1, 3), level_min=level_min)
+
+
 def test_ray_levels_decrease():
     path = trace_ray(Params(0.25j), Angle(1, 7), level_min=1e-6)
     assert all(b < a for a, b in zip(path.levels, path.levels[1:]))

@@ -136,6 +136,21 @@ def test_theta_examples():
     assert res.value == Angle(0) and res.boundary_collapse
 
 
+@pytest.mark.parametrize(
+    "tower, n",
+    [(feigenbaum_tower, n) for n in (1, 2, 3)] + [(rabbit_tower, n) for n in (1, 2)],
+    ids=["F1", "F2", "F3", "R1", "R2"],
+)
+def test_theta_tie_break_at_window_endpoints(tower, n):
+    # the four endpoints of s_{n,p} read eps = 0 and are flagged; without the
+    # tie-break t'_p and t~'_p would read 1/2
+    comb = tower(n)
+    pair = comb.level(n)
+    for t in window_endpoints(pair, pair.period):
+        res = theta(comb, n, t)
+        assert (res.value, res.boundary_collapse) == (Angle(0), True)
+
+
 def test_theta_precondition():
     comb = feigenbaum_tower(1)
     with pytest.raises(ValueError):
