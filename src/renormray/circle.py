@@ -153,11 +153,6 @@ def angle_from_words(pre_bits: str, per_bits: str) -> Angle:
     return Angle(Fraction(head + tail, 2**a))
 
 
-def bits_prefix(t: Fraction, nbits: int) -> int:
-    """floor(t * 2^nbits) for t in [0, 1)."""
-    return (t.numerator << nbits) // t.denominator
-
-
 @dataclass(frozen=True)
 class Arc:
     """Closed arc traversed counterclockwise from ``start`` over ``length``.
@@ -328,8 +323,15 @@ class LimitAngle:
         if nbits < 1:
             raise ValueError("need at least one bit")
         start, length = self._arc_for_bits(nbits)
-        lo = bits_prefix(start % 1, nbits)
-        hi = bits_prefix(start % 1 + length, nbits)
+        # floor(start 2^n) and floor((start + length) 2^n) on numerators, with
+        # start taken mod 1; the second is the first plus the carry of the
+        # remainder over the length
+        num, den = start.numerator, start.denominator
+        if not 0 <= num < den:
+            num %= den
+        lo, rem = divmod(num << nbits, den)
+        ln, ld = length.numerator, length.denominator
+        hi = lo + (rem * ld + (ln << nbits) * den) // (den * ld)
         if lo == hi:
             return lo
         # the arc straddles a dyadic boundary; report the upper cell, which is

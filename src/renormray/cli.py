@@ -412,6 +412,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # deep towers print and read integers of more than 4300 digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(run())
 
 

@@ -10,6 +10,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,26 +38,58 @@ class RayPair:
 
     def check(self) -> list[str]:
         """Invariant violations as human-readable strings (empty when valid)."""
-        problems = []
-        if self.period < 1:
-            problems.append(f"period {self.period} < 1")
-            return problems
-        if not (Angle(0) < self.lo < self.hi):
-            problems.append(f"angles not ordered: 0 < {self.lo} < {self.hi} < 1 fails")
-        if sigma_pow(self.lo, self.period) != self.lo:
-            problems.append(f"sigma^{self.period}({self.lo}) = {sigma_pow(self.lo, self.period)} != {self.lo}")
-        if sigma_pow(self.hi, self.period) != self.hi:
-            problems.append(f"sigma^{self.period}({self.hi}) = {sigma_pow(self.hi, self.period)} != {self.hi}")
-        return problems
+        return _checked(self)[0]
 
     @property
     def width(self) -> Fraction:
         return self.hi.frac - self.lo.frac
 
     def require_valid(self):
-        problems = self.check()
-        if problems or self.width >= HALF:
-            raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
+        _valid(self)
+
+
+def _over_den(pair: RayPair) -> tuple[int, int, int]:
+    """(a, b, den) with lo = a/den and hi = b/den over their least common denominator.
+
+    The exact layer derives a pair's windows and checks on these integers:
+    window endpoints are numerators over den 2^p, and sigma is a shift and a
+    reduction, so no Fraction is built or reduced until a value is returned.
+    """
+    d0, d1 = pair.lo.denominator, pair.hi.denominator
+    den = d0 if d0 == d1 else math.lcm(d0, d1)
+    return pair.lo.numerator * (den // d0), pair.hi.numerator * (den // d1), den
+
+
+def _checked(pair: RayPair) -> tuple[list[str], tuple[int, int, int, int] | None]:
+    """check()'s problems, and (a, b, den, r) with r = 2^p mod den when the period is positive."""
+    p = pair.period
+    if p < 1:
+        return [f"period {p} < 1"], None
+    a, b, den = _over_den(pair)
+    r = pow(2, p, den)
+    problems = []
+    if not 0 < a < b:
+        problems.append(f"angles not ordered: 0 < {pair.lo} < {pair.hi} < 1 fails")
+    for t in (pair.lo, pair.hi):
+        # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
+        if (r - 1) % t.denominator:
+            problems.append(f"sigma^{p}({t}) = {sigma_pow(t, p)} != {t}")
+    return problems, (a, b, den, r)
+
+
+def _valid(pair: RayPair) -> tuple[int, int, int, int]:
+    """(a, b, den, r) of a valid renormalization pair; ValueError otherwise."""
+    problems, ints = _checked(pair)
+    # the width (b - a)/den is below 1/2
+    if problems or not 2 * (ints[1] - ints[0]) < ints[2]:
+        raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
+    return ints
+
+
+def _over(x: int, den: int, e: int) -> Fraction:
+    """x / (den 2^e), with the common power of two shifted out before Fraction reduces the rest."""
+    v = min(e, (x & -x).bit_length() - 1) if x else e
+    return Fraction(x >> v, den << (e - v))
 
 
 @dataclass(frozen=True)
@@ -148,20 +181,27 @@ def window_endpoints(pair: RayPair, j: int) -> tuple[Angle, Angle, Angle, Angle]
     derivation of a pair's windows: the pair is validated and sigma^p must
     map t' to t~ and t~' to t exactly.
     """
+    den, _, ends, _ = _window(pair, j)
+    return tuple(Angle(_over(x, den, pair.period)) for x in ends)
+
+
+def _window(pair: RayPair, j: int) -> tuple[int, int, list[int], int]:
+    """window_endpoints() as integers: (den, D, the four numerators over D, dj).
+
+    With lo = a/den, hi = b/den and c = b - a, the endpoints of s_{n,1} over
+    D = den 2^p are a 2^p, a 2^p + c, b 2^p - c and b 2^p; sigma^(j-1) is a
+    shift and a reduction mod D, and Delta_{n,j} = dj/D.
+    """
     if not 1 <= j <= pair.period:
         raise ValueError(f"j must lie in 1..{pair.period}")
-    pair.require_valid()
-    delta = window_length(pair, 1)
-    lo1 = pair.lo + delta
-    hi1 = pair.hi - delta
-    if sigma_pow(lo1, pair.period) != pair.hi or sigma_pow(hi1, pair.period) != pair.lo:
+    a, b, den, r = _valid(pair)
+    p, c = pair.period, b - a
+    # sigma^p(t') = 2^p (a 2^p + c) / (den 2^p) is (a 2^p + c mod den) / den, and likewise for t~'
+    if (a * r + c) % den != b or (b * r - c) % den != a:
         raise ValueError("pair is not a valid renormalization pair: window endpoint check failed")
-    return (
-        sigma_pow(pair.lo, j - 1),
-        sigma_pow(lo1, j - 1),
-        sigma_pow(hi1, j - 1),
-        sigma_pow(pair.hi, j - 1),
-    )
+    D, k = den << p, j - 1
+    ends = [(x << k) % D for x in (a << p, (a << p) + c, (b << p) - c, b << p)]
+    return den, D, ends, c << k
 
 
 def window_length(pair: RayPair, j: int) -> Fraction:
@@ -171,14 +211,15 @@ def window_length(pair: RayPair, j: int) -> Fraction:
 
 def window_at(pair: RayPair, j: int) -> ArcSet:
     """s_{n,j} = sigma^(j-1)(s_{n,1}): two arcs of length Delta_{n,j} < 1/2."""
-    t_j, t1_j, tt1_j, tt_j = window_endpoints(pair, j)
-    delta = window_length(pair, j)
-    if not delta < HALF:
+    p = pair.period
+    den, D, (t, t1, tt1, tt), dj = _window(pair, j)
+    if not 2 * dj < D:
         raise ValueError("inconsistent pair: window component length is not below 1/2")
     # sigma^(j-1) is injective on each component, so images are plain arcs
-    if not (t1_j == t_j + delta and tt_j == tt1_j + delta):
+    if not (t1 == (t + dj) % D and tt == (tt1 + dj) % D):
         raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
-    s = ArcSet([Arc(t_j, delta), Arc(tt1_j, delta)])
+    delta = _over(dj, den, p)
+    s = ArcSet([Arc(Angle(_over(t, den, p)), delta), Arc(Angle(_over(tt1, den, p)), delta)])
     if len(s) != 2:
         raise ValueError("window components are not disjoint")
     return s
@@ -199,27 +240,28 @@ def subwindow(pair: RayPair, j: int) -> Subwindow:
     endpoint images are checked exactly.
     """
     p = pair.period
-    t_j, t1_j, tt1_j, tt_j = window_endpoints(pair, j)
-    delta = window_length(pair, j)
-    delta1 = delta / (1 << p)
-    labeled = {
-        "lo_outer": Arc(t_j, delta1),
-        "lo_inner": Arc(t1_j - delta1, delta1),
-        "hi_inner": Arc(tt1_j, delta1),
-        "hi_outer": Arc(tt_j - delta1, delta1),
+    den, D, (t, t1, tt1, tt), dj = _window(pair, j)
+    # over E = D 2^p the sub-window arcs have length dj and the windows dj 2^p;
+    # sigma^p(x/E) = x/D mod 1
+    E, host_len = D << p, dj << p
+    starts = {
+        "lo_outer": t << p,
+        "lo_inner": ((t1 << p) - dj) % E,
+        "hi_inner": tt1 << p,
+        "hi_outer": ((tt << p) - dj) % E,
     }
-    windows = {"lo": Arc(t_j, delta), "hi": Arc(tt1_j, delta)}
+    windows = {"lo": t, "hi": tt1}
     onto = {"lo_outer": "lo", "lo_inner": "hi", "hi_inner": "lo", "hi_outer": "hi"}
-    for label, arc in labeled.items():
+    for label, x in starts.items():
         target = windows[onto[label]]
-        img_start = sigma_pow(arc.start, p)
-        img_end = sigma_pow(arc.start + arc.length, p)
-        if img_start != target.start or img_end != target.start + target.length:
+        if x % D != target or (x + dj) % D != (target + dj) % D:
             raise ValueError("inconsistent pair: sub-window endpoint check failed")
-    for label, arc in labeled.items():
-        host = windows["lo"] if windows["lo"].contains(arc.start) else windows["hi"]
-        if not (host.contains(arc.start) and host.contains(arc.start + arc.length)):
+    for x in starts.values():
+        host = t if (x - (t << p)) % E <= host_len else tt1
+        if not ((x - (host << p)) % E <= host_len and (x + dj - (host << p)) % E <= host_len):
             raise ValueError("inconsistent pair: sub-window leaves its window")
+    delta1 = _over(dj, den, 2 * p)
+    labeled = {label: Arc(Angle(_over(x, den, 2 * p)), delta1) for label, x in starts.items()}
     arcs = ArcSet(labeled.values())
     if len(arcs) != 4:
         raise ValueError("inconsistent pair: expected four sub-window components")
@@ -270,16 +312,21 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
     """
     if not 1 <= depth <= comb.depth:
         raise ValueError("depth exceeds tower size")
-    lengths = [window_length(pair, 1) for pair in comb.levels]
+    # the level-n component length is (b_n - a_n) / D_n with D_n = den_n 2^(p_n)
+    ints = [(*_over_den(pair), pair.period) for pair in comb.levels]
+    lengths = [(b - a, den << p) for a, b, den, p in ints]
     for n in range(1, comb.depth):
-        if not lengths[n] < lengths[n - 1]:
+        (c0, d0), (c1, d1) = lengths[n - 1], lengths[n]
+        if not c1 * d0 < c0 * d1:
             raise ValueError(f"window components do not shrink from level {n} to level {n + 1}")
 
     def left(m: int) -> tuple[Fraction, Fraction]:
-        return comb.level(m).lo.frac, lengths[m - 1]
+        a, b, den, p = ints[m - 1]
+        return comb.level(m).lo.frac, _over(b - a, den, p)
 
     def right(m: int) -> tuple[Fraction, Fraction]:
-        return (comb.level(m).hi - lengths[m - 1]).frac, lengths[m - 1]
+        a, b, den, p = ints[m - 1]
+        return _over(((b << p) - (b - a)) % (den << p), den, p), _over(b - a, den, p)
 
     tau1 = LimitAngle(left, max_depth=comb.depth)
     tau2 = LimitAngle(right, max_depth=comb.depth)
@@ -497,21 +544,27 @@ def validate(comb: Tower) -> ValidationReport:
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
-        # one sigma-orbit walk feeds orbit_exclusion and min_length_2inf; k = p
-        # is left out because sigma^p fixes lo and hi, which bound the interior
-        interior = Arc(pair.lo, pair.width)
+        # one sigma-orbit walk over the numerators of lo and hi feeds
+        # orbit_exclusion and min_length_2inf; k = p is left out because
+        # sigma^p fixes lo and hi, which bound the interior of S_n.  With
+        # 0 < lo0 < hi0 < den, S_n does not run across 0.
+        lo0, hi0, den = _over_den(pair)
         hits, short = [], []
-        a, b = pair.lo, pair.hi
+        a, b = lo0, hi0
         for k in range(1, pair.period):
-            a, b = double(a), double(b)
-            for point in (a, b):
-                if interior.interior_contains(point):
-                    hits.append(f"sigma^{k} hits {point}")
-            arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
-            disjoint = [arc for arc in arcs if not arc.overlaps(interior)]
+            a, b = 2 * a % den, 2 * b % den
+            hits += [f"sigma^{k} hits {Angle(x, den)}" for x in (a, b) if lo0 < x < hi0]
+            # the points cut the circle into [u, v] and [v, u + 1] (den is odd,
+            # so u < v); an arc overlaps S_n when they share more than a point
+            u, v = min(a, b), max(a, b)
+            disjoint = []
+            if not (u < hi0 and lo0 < v):
+                disjoint.append(v - u)
+            if not (v < hi0 or lo0 < u):
+                disjoint.append(den - (v - u))
             if not disjoint:
                 short.append(f"k={k}: no arc avoids S_n interior")
-            elif any(arc.length < pair.width for arc in disjoint):
+            elif any(length < hi0 - lo0 for length in disjoint):
                 short.append(f"k={k}: avoiding arc shorter than S_n")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
         chords = orbit_chords(pair)

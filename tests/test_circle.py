@@ -288,3 +288,29 @@ def test_limit_angle_prefix_across_dyadic_boundary(start, nbits, expected):
     lim = LimitAngle(lambda d: (start, Fraction(1, 1 << 19)), max_depth=1)
     assert lim.prefix_bits(nbits) == expected
     assert lim.refine(nbits) == Angle(expected, 1 << nbits)
+
+
+def _ref_prefix_bits(start, length, nbits):
+    # the Fraction formula: floor of start mod 1 and of its sum with length, times 2^nbits
+    lo = ((start % 1).numerator << nbits) // (start % 1).denominator
+    end = start % 1 + length
+    hi = (end.numerator << nbits) // end.denominator
+    return lo if lo == hi else hi % (1 << nbits)
+
+
+@settings(max_examples=300)
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=1 << 12),
+    st.booleans(),
+)
+def test_prefix_bits_matches_fraction_formula(start, nbits, length_num, cell, straddle):
+    # lengths up to 2^-(nbits+2), zero included; a straddling start sits just
+    # below the dyadic point cell/2^nbits, which may lie outside [0, 1)
+    length = Fraction(length_num, 1 << (nbits + 4))
+    if straddle:
+        start = Fraction(cell - 2048, 1 << nbits) - length / 2
+    lim = LimitAngle(lambda depth: (start, length), max_depth=1)
+    assert lim.prefix_bits(nbits) == _ref_prefix_bits(start, length, nbits)

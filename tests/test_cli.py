@@ -370,6 +370,26 @@ def test_omega_first_hits(capsys):
     assert out == OMEGA_HITS
 
 
+README_OMEGA_HITS = """\
+{
+  "hits": [
+    {
+      "first_hit": 23,
+      "target": "6757/32768"
+    }
+  ]
+}
+"""
+
+
+def test_readme_omega_example_is_pinned(capsys):
+    # the depth-17 tower: tau1 refined to 65,548 bits
+    code, out = invoke(capsys, "omega", "--tower", "feigenbaum", "--depth", "17", "--targets", "6757/32768",
+                       "--horizon", "65536", "--bits", "8")
+    assert code == 0
+    assert out == README_OMEGA_HITS
+
+
 def test_omega_horizon_beyond_depth_is_domain_error(capsys):
     code = run([*OMEGA_ARGV, "--horizon", "4096"])
     captured = capsys.readouterr()
@@ -473,3 +493,41 @@ def test_numpy_loads_only_for_array_subcommands(tmp_path):
     seen = json.loads(proc.stdout)
     expected = [[code, False] for _, code in WITHOUT_NUMPY] + [[0, True]]
     assert dict(zip(map(" ".join, argvs), seen)) == dict(zip(map(" ".join, argvs), expected))
+
+
+# Integers of these towers have more than 4300 decimal digits, which Python
+# refuses to convert to or from str unless the limit is lifted; the CLI lifts
+# it in main(), so these run as the renormray process does.
+DEEP_ARGVS = [
+    ["tower", "--tower", "feigenbaum", "--depth", "15"],
+    ["window", "--tower", "feigenbaum", "--depth", "14", "--level", "14", "--j", "1"],
+    ["shadow", "--tower", "feigenbaum", "--depth", "14", "--kc"],
+]
+
+
+def _renormray(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(renormray.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "renormray.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", DEEP_ARGVS, ids=["tower", "window", "shadow_kc"])
+def test_deep_towers_print_strict_json(tmp_path, argv):
+    proc = _renormray(tmp_path, argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    assert json.loads(proc.stdout, parse_constant=reject)
+
+
+def test_deep_tower_reads_back(tmp_path):
+    named = _renormray(tmp_path, DEEP_ARGVS[0])
+    levels = [
+        {"period": lv["period"], **{k: f"{lv[k]['num']}/{lv[k]['den']}" for k in ("lo", "hi")}}
+        for lv in json.loads(named.stdout)
+    ]
+    again = _renormray(tmp_path, ["tower", "--tower", json.dumps(levels)])
+    assert (again.returncode, again.stderr) == (0, "")
+    assert again.stdout == named.stdout

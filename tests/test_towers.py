@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormray.circle import Angle, Arc, LimitAngle, double, sigma_pow
+from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
+from renormray.lamination import orbit_chords, verify_unlinked
 from renormray.towers import (
     ComponentAddress,
     RayPair,
@@ -15,6 +17,7 @@ from renormray.towers import (
     rabbit_tower,
     shadow_Kc,
     shadow_component,
+    Subwindow,
     subwindow,
     theta,
     tune,
@@ -387,3 +390,209 @@ WIDE_INNER_REPORT = [
 def test_validate_report_is_pinned(levels, expected):
     # the full report: every check, its order, and the witnesses with their order
     assert validate(Tower(levels)).to_json() == expected
+
+
+# The Fraction derivation of a pair's windows and checks, kept as the
+# reference the integer derivation in renormray.towers must reproduce.
+
+
+def _ref_check(pair):
+    problems = []
+    if pair.period < 1:
+        problems.append(f"period {pair.period} < 1")
+        return problems
+    if not (Angle(0) < pair.lo < pair.hi):
+        problems.append(f"angles not ordered: 0 < {pair.lo} < {pair.hi} < 1 fails")
+    if sigma_pow(pair.lo, pair.period) != pair.lo:
+        problems.append(f"sigma^{pair.period}({pair.lo}) = {sigma_pow(pair.lo, pair.period)} != {pair.lo}")
+    if sigma_pow(pair.hi, pair.period) != pair.hi:
+        problems.append(f"sigma^{pair.period}({pair.hi}) = {sigma_pow(pair.hi, pair.period)} != {pair.hi}")
+    return problems
+
+
+def _ref_window_endpoints(pair, j):
+    if not 1 <= j <= pair.period:
+        raise ValueError(f"j must lie in 1..{pair.period}")
+    problems = _ref_check(pair)
+    if problems or pair.width >= HALF:
+        raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
+    delta = window_length(pair, 1)
+    lo1 = pair.lo + delta
+    hi1 = pair.hi - delta
+    if sigma_pow(lo1, pair.period) != pair.hi or sigma_pow(hi1, pair.period) != pair.lo:
+        raise ValueError("pair is not a valid renormalization pair: window endpoint check failed")
+    return tuple(sigma_pow(t, j - 1) for t in (pair.lo, lo1, hi1, pair.hi))
+
+
+def _ref_window_at(pair, j):
+    t_j, t1_j, tt1_j, tt_j = _ref_window_endpoints(pair, j)
+    delta = window_length(pair, j)
+    if not delta < HALF:
+        raise ValueError("inconsistent pair: window component length is not below 1/2")
+    if not (t1_j == t_j + delta and tt_j == tt1_j + delta):
+        raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
+    s = ArcSet([Arc(t_j, delta), Arc(tt1_j, delta)])
+    if len(s) != 2:
+        raise ValueError("window components are not disjoint")
+    return s
+
+
+def _ref_subwindow(pair, j):
+    p = pair.period
+    t_j, t1_j, tt1_j, tt_j = _ref_window_endpoints(pair, j)
+    delta = window_length(pair, j)
+    delta1 = delta / (1 << p)
+    labeled = {
+        "lo_outer": Arc(t_j, delta1),
+        "lo_inner": Arc(t1_j - delta1, delta1),
+        "hi_inner": Arc(tt1_j, delta1),
+        "hi_outer": Arc(tt_j - delta1, delta1),
+    }
+    windows = {"lo": Arc(t_j, delta), "hi": Arc(tt1_j, delta)}
+    onto = {"lo_outer": "lo", "lo_inner": "hi", "hi_inner": "lo", "hi_outer": "hi"}
+    for label, arc in labeled.items():
+        target = windows[onto[label]]
+        if sigma_pow(arc.start, p) != target.start or sigma_pow(arc.end, p) != target.end:
+            raise ValueError("inconsistent pair: sub-window endpoint check failed")
+    for arc in labeled.values():
+        host = windows["lo"] if windows["lo"].contains(arc.start) else windows["hi"]
+        if not (host.contains(arc.start) and host.contains(arc.end)):
+            raise ValueError("inconsistent pair: sub-window leaves its window")
+    arcs = ArcSet(labeled.values())
+    if len(arcs) != 4:
+        raise ValueError("inconsistent pair: expected four sub-window components")
+    return arcs, labeled
+
+
+def _ref_validate(comb):
+    entries = []
+
+    def add(check, level, passed, witness=""):
+        entries.append({"check": check, "level": level, "pass": passed, "witness": witness})
+
+    pair_ok = []
+    for n, pair in enumerate(comb.levels, start=1):
+        problems = _ref_check(pair)
+        pair_ok.append(not problems)
+        add("pair_periodic", n, not problems, "; ".join(problems))
+        if not problems:
+            add("pair_width", n, pair.width < HALF, f"width {pair.width}")
+    for n in range(1, comb.depth):
+        a, b = comb.level(n), comb.level(n + 1)
+        add("period_divisibility", n + 1, b.period % a.period == 0 and b.period >= 2 * a.period,
+            f"{b.period} over {a.period}")
+        if not (pair_ok[n - 1] and pair_ok[n]):
+            continue
+        add("nesting_S", n + 1, a.lo <= b.lo and b.hi <= a.hi and b.lo < b.hi, f"[{b.lo},{b.hi}] in [{a.lo},{a.hi}]")
+        try:
+            nest_small = _ref_window_at(b, 1).is_subset_of(_ref_window_at(a, 1))
+        except ValueError:
+            nest_small = False
+        add("nesting_s", n + 1, nest_small, "s_{n+1,1} in s_{n,1}")
+    all_chords = []
+    for n, pair in enumerate(comb.levels, start=1):
+        if not pair_ok[n - 1]:
+            continue
+        interior = Arc(pair.lo, pair.width)
+        hits, short = [], []
+        a, b = pair.lo, pair.hi
+        for k in range(1, pair.period):
+            a, b = double(a), double(b)
+            hits += [f"sigma^{k} hits {x}" for x in (a, b) if interior.interior_contains(x)]
+            arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
+            disjoint = [arc for arc in arcs if not arc.overlaps(interior)]
+            if not disjoint:
+                short.append(f"k={k}: no arc avoids S_n interior")
+            elif any(arc.length < pair.width for arc in disjoint):
+                short.append(f"k={k}: avoiding arc shorter than S_n")
+        add("orbit_exclusion", n, not hits, "; ".join(hits))
+        chords = orbit_chords(pair)
+        all_chords += chords
+        witnesses = verify_unlinked(chords)["witnesses"]
+        add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
+        add("min_length_2inf", n, not short, "; ".join(short))
+    if all(pair_ok):
+        witnesses = verify_unlinked(all_chords)["witnesses"]
+        add("unlinked_across_levels", 0, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses[:5]))
+    return entries
+
+
+def _outcome(derive, *args):
+    """The value, or the type and text of the ValueError raised."""
+    try:
+        return derive(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_windows_match(pair, js):
+    assert pair.check() == _ref_check(pair)
+    for j in js:
+        assert _outcome(window_endpoints, pair, j) == _outcome(_ref_window_endpoints, pair, j)
+        assert _outcome(window_at, pair, j) == _outcome(_ref_window_at, pair, j)
+        got = _outcome(subwindow, pair, j)
+        if isinstance(got, Subwindow):
+            got = got.arcs, got.labeled
+        assert got == _outcome(_ref_subwindow, pair, j)
+
+
+STOCK_TOWERS = [(feigenbaum_tower, d) for d in range(1, 11)] + [(rabbit_tower, d) for d in range(1, 6)]
+STOCK_IDS = [f"F{d}" for d in range(1, 11)] + [f"R{d}" for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("tower, depth", STOCK_TOWERS, ids=STOCK_IDS)
+def test_windows_match_fraction_reference_on_stock_towers(tower, depth):
+    comb = tower(depth)
+    pair = comb.level(depth)
+    p = pair.period
+    _assert_windows_match(pair, sorted(set(range(1, min(p, 64) + 1)) | {1, 2, p}))
+    assert validate(comb).to_json() == _ref_validate(comb)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_windows_match_fraction_reference_on_single_pairs(p):
+    # every pair (k/(2^p - 1), l/(2^p - 1)), valid or not, at j in {1, 2, p}
+    # and just outside 1..p
+    m = (1 << p) - 1
+    for k in range(m):
+        for l in range(m):
+            pair = RayPair(p, Angle(k, m), Angle(l, m))
+            _assert_windows_match(pair, (0, 1, 2, p, p + 1))
+            assert validate(Tower((pair,))).to_json() == _ref_validate(Tower((pair,)))
+
+
+def _broken_towers():
+    # a swapped, a perturbed and a spliced-in level at each of levels 2..4 of F4
+    base = list(feigenbaum_tower(4).levels)
+    for k in (2, 3, 4):
+        pair = base[k - 1]
+        for bad in (
+            RayPair(pair.period, pair.hi, pair.lo),
+            RayPair(pair.period, pair.lo, pair.hi + Fraction(1, 1 << 40)),
+            RayPair(3, Angle(1, 7), Angle(2, 7)),
+        ):
+            yield Tower(tuple(base[: k - 1] + [bad] + base[k:]))
+
+
+def test_validate_matches_fraction_reference_on_broken_towers():
+    for comb in _broken_towers():
+        report = validate(comb)
+        assert not report.passed
+        assert report.to_json() == _ref_validate(comb)
+        for j in (1, 2):
+            pair = comb.level(comb.depth)
+            assert _outcome(window_at, pair, j) == _outcome(_ref_window_at, pair, j)
+
+
+def _hex(q):
+    # hex digits are not subject to the 4300-digit limit on decimal str(int)
+    return f"{q.numerator:x}/{q.denominator:x}"
+
+
+def test_deep_kc_shadow_is_pinned():
+    # depth 17: 65,537-bit pair denominators; digest recorded with the
+    # Fraction derivation of the windows
+    shad = shadow_Kc(feigenbaum_tower(17), 17)
+    parts = [f"{_hex(a.start.frac)}+{_hex(a.length)}" for a in shad.s]
+    parts += [_hex(shad.tau1.refine(64).frac), _hex(shad.tau2.refine(64).frac)]
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16] == "c64f09d7e26a8077"
