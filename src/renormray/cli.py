@@ -85,7 +85,8 @@ def _add_tower_flags(p, need_level=False):
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    # a non-finite float raises ValueError (exit 1) before any byte is written
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

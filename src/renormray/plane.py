@@ -136,12 +136,20 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
 def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
     """All 2^m roots of f^m(z) = z with their multipliers (f^m)'(z).
 
-    Uses Ehrlich-Aberth on the black-box map, so no explicit coefficients of
-    the degree-2^m polynomial are ever formed.  The pairwise differences of
-    the n = 2^m roots are summed a block of rows at a time in one buffer of
+    Ehrlich-Aberth on the black-box map, so no coefficients of the
+    degree-2^m polynomial are ever formed.  It starts from the 2^m
+    preimages under f^m of one point w0 outside K (Hubbard, Schleicher and
+    Sutherland, Invent. Math. 2001): they lie on the equipotential of level
+    G(w0)/2^m, close to J and spread like the periodic points, so it
+    converges in a few sweeps rather than in O(2^m) of them.  A root whose
+    step falls below the roundoff floor is frozen: it keeps its value and
+    still repels the others.  Each sweep sums the differences of the active
+    roots to all n = 2^m roots a block of rows at a time, in one buffer of
     at most _EA_BLOCK entries, not in an n x n matrix (16 MB at m = 10, and
-    peak RSS then depends on where malloc places it).  Each row's sum is
-    the same as over the full matrix.
+    peak RSS then depends on where malloc places it); each row's sum is the
+    same as over the full matrix.  A root thrown so far out that f^m
+    overflows takes its Newton step from a recurrence that does not.
+    Raises ArithmeticError if a root or multiplier is not finite.
     """
     import numpy as np
 
@@ -154,31 +162,57 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
         w, d = _fn_and_derivative(z, m, c)
         return w - z, d - 1.0
 
+    def escaping_newton(z):
+        # p/dp where f^m(z) overflows.  r_k = f^k(z)/(f^k)'(z) obeys
+        # r_(k+1) = r_k (1 + c/f^k(z)^2)/2; past |f^k(z)| = 1e100 the factor
+        # is 1/2 to double precision, so f^k(z) is held there.  At such points
+        # p/dp and f^m/(f^m)' agree to far below an ulp.
+        w = r = z
+        for _ in range(m):
+            r = r * (1.0 + c / w / w) / 2.0
+            w = np.where(np.abs(w) < 1e100, w * w + c, w)
+        return r
+
     radius = 0.5 + math.sqrt(0.25 + abs(c)) + 0.3
-    ks = np.arange(n)
-    z = radius * np.exp(2j * math.pi * (ks + 0.37) / n) + 0.01j
+    # not beta: at c = -2 its preimage tree runs through the critical point
+    z = np.array([radius * cmath.exp(2j * math.pi * 0.37)])
+    for _ in range(m):
+        r = np.sqrt(z - c)
+        z = np.concatenate((r, -r))
     rows = min(n, max(1, _EA_BLOCK // n))  # powers of two: rows divides n
     diff = np.empty((rows, n), dtype=complex)
-    s = np.empty(n, dtype=complex)
-    for _ in range(200):
-        p, dp = p_and_dp(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    active = np.arange(n)
+    # overflow and 0/0 are expected on the way and caught by the final check
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            za = z[active]
+            p, dp = p_and_dp(za)
             newton = np.where(dp != 0, p / dp, 0.0)
-        for r0 in range(0, n, rows):
-            np.subtract(z[r0 : r0 + rows, None], z[None, :], out=diff)
-            diff.reshape(-1)[r0 :: n + 1] = np.inf  # the entries (i, i)
-            np.sum(np.divide(1.0, diff, out=diff), axis=1, out=s[r0 : r0 + rows])
-        denom = 1.0 - newton * s
-        step = np.where(np.abs(denom) > 1e-14, newton / denom, newton)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-    # Newton polish
-    for _ in range(10):
-        p, dp = p_and_dp(z)
-        mask = np.abs(dp) > 1e-14
-        z = np.where(mask, z - p / dp, z)
-    _, mult = _fn_and_derivative(z, m, c)
+            far = ~(np.isfinite(p) & np.isfinite(dp))
+            if far.any():  # roots thrown far outside K
+                newton[far] = escaping_newton(za[far])
+            s = np.empty(active.size, dtype=complex)
+            for r0 in range(0, active.size, rows):
+                block = active[r0 : r0 + rows]
+                d = diff[: block.size]
+                np.subtract(z[block, None], z[None, :], out=d)
+                d[np.arange(block.size), block] = np.inf  # the entries (i, i)
+                np.sum(np.divide(1.0, d, out=d), axis=1, out=s[r0 : r0 + block.size])
+            denom = 1.0 - newton * s
+            step = np.where(np.abs(denom) > 1e-14, newton / denom, newton)
+            z[active] = za - step
+            active = active[np.abs(step) >= 1e-14 * (1.0 + np.max(np.abs(z)))]
+            if not active.size:
+                break
+        # Newton polish
+        for _ in range(10):
+            p, dp = p_and_dp(z)
+            mask = np.abs(dp) > 1e-14
+            z = np.where(mask, z - p / dp, z)
+        _, mult = _fn_and_derivative(z, m, c)
+    bad = np.count_nonzero(~(np.isfinite(z) & np.isfinite(mult)))
+    if bad:
+        raise ArithmeticError(f"{bad} of the {n} roots of f^{m}(z) = z or their multipliers are not finite")
     order = np.lexsort((z.imag.round(9), z.real.round(9)))
     return [(complex(z[i]), complex(mult[i])) for i in order]
 

@@ -529,7 +529,8 @@ def validate(comb: Tower) -> ValidationReport:
             add("pair_width", n, pair.width < HALF, f"width {pair.width}")
     for n in range(1, comb.depth):
         a, b = comb.level(n), comb.level(n + 1)
-        ratio_ok = b.period % a.period == 0 and b.period >= 2 * a.period
+        # a period <= 0 fails here rather than dividing by it
+        ratio_ok = a.period > 0 and b.period % a.period == 0 and b.period >= 2 * a.period
         add("period_divisibility", n + 1, ratio_ok, f"{b.period} over {a.period}")
         if not (pair_ok[n - 1] and pair_ok[n]):
             continue

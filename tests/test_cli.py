@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import renormray
-from renormray import build, export_svg, feigenbaum_tower
+from renormray import build, cli, export_svg, feigenbaum_tower
 from renormray.cli import run
 
 
@@ -100,6 +100,50 @@ def test_periodic(capsys):
     code, out = invoke(capsys, "periodic", "--c", "0", "--m", "2")
     assert code == 0
     assert len(json.loads(out)["points"]) == 4
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_periodic_m10_is_strict_json(capsys):
+    code, out = invoke(capsys, "periodic", "--c", "-1", "--m", "10")
+    assert code == 0
+    assert len(_strict_json(out)["points"]) == 1024
+
+
+def test_periodic_overflow_is_domain_error(capsys):
+    # f^3 overflows at c = 1e300: the multipliers are not finite
+    code = run(["periodic", "--c", "1e300", "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_nan_in_output_is_exit_1_with_empty_stdout(monkeypatch, capsys):
+    # the backstop: a handler whose result holds NaN prints no JSON
+    monkeypatch.setattr(cli, "green", lambda params, z: float("nan"))
+    code = run(["green", "--c", "0", "--z", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_validate_reports_period_zero_level(capsys):
+    levels = [{"period": 2, "lo": "1/3", "hi": "2/3"}, {"period": 0, "lo": "2/5", "hi": "3/5"},
+              {"period": 8, "lo": "7/17", "hi": "10/17"}]
+    code, out = invoke(capsys, "validate", "--tower", json.dumps(levels))
+    assert code == 1
+    report = json.loads(out)
+    assert not report["pass"]
+    divisibility = {e["level"]: e for e in report["checks"] if e["check"] == "period_divisibility"}
+    assert divisibility[3] == {"check": "period_divisibility", "level": 3, "pass": False, "witness": "8 over 0"}
+    assert not divisibility[2]["pass"]
 
 
 def test_lamination_svg(tmp_path, capsys):
@@ -438,11 +482,7 @@ def test_aborted_ray_is_strict_json_and_exit_1(capsys):
     code = run(["ray", "--c", "-2", "--t", "1/4"])
     captured = capsys.readouterr()
     assert code == 1
-
-    def reject(token):
-        raise ValueError(f"non-finite JSON token {token}")
-
-    assert json.loads(captured.out, parse_constant=reject)["aborted"] is True
+    assert _strict_json(captured.out)["aborted"] is True
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
@@ -515,11 +555,7 @@ def _renormray(tmp_path, argv):
 def test_deep_towers_print_strict_json(tmp_path, argv):
     proc = _renormray(tmp_path, argv)
     assert (proc.returncode, proc.stderr) == (0, "")
-
-    def reject(token):
-        raise ValueError(f"non-finite JSON token {token}")
-
-    assert json.loads(proc.stdout, parse_constant=reject)
+    assert _strict_json(proc.stdout)
 
 
 def test_deep_tower_reads_back(tmp_path):

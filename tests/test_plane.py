@@ -132,6 +132,92 @@ def test_periodic_points_budget():
         periodic_points(Params(0), 13)
 
 
+def _match_one_to_one(found, expected):
+    """Largest distance from each found root to its nearest expected root;
+    fails unless the nearest roots are all different."""
+    nearest = [min(range(len(expected)), key=lambda k: abs(z - expected[k])) for z in found]
+    assert len(found) == len(expected) and sorted(nearest) == list(range(len(expected)))
+    return max(abs(z - expected[k]) for z, k in zip(found, nearest))
+
+
+def _fixed_point_polynomial(mpmath, c, m):
+    """Coefficients of f^m(z) - z, highest degree first, expanded exactly at
+    the working precision."""
+    poly = [mpmath.mpc(1), mpmath.mpc(0)]  # z
+    for _ in range(m):
+        square = [mpmath.mpc(0)] * (2 * len(poly) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(poly):
+                square[i + j] += a * b
+        square[-1] += c
+        poly = square
+    poly[-2] -= 1
+    return poly
+
+
+@pytest.mark.parametrize("c, m", [(-1, m) for m in range(1, 6)] + [(0.1 + 0.2j, 4)])
+def test_periodic_points_match_mpmath_polyroots(c, m):
+    # an oracle that shares nothing with the root finder: the expanded
+    # degree-2^m polynomial solved at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots(_fixed_point_polynomial(mpmath, mpmath.mpc(c), m), maxsteps=200, extraprec=200)
+    expected = [complex(r) for r in roots]
+    assert _match_one_to_one([z for z, _ in periodic_points(Params(c), m)], expected) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_periodic_points_chebyshev_closed_form(m):
+    # f(2 cos t) = 2 cos 2t at c = -2, so f^m(z) = z at z = 2 cos(2 pi k/(2^m -+ 1))
+    n = 1 << m
+    expected = [2 * math.cos(2 * math.pi * k / (n - 1)) for k in range(n // 2)]
+    expected += [2 * math.cos(2 * math.pi * k / (n + 1)) for k in range(1, n // 2 + 1)]
+    assert _match_one_to_one([z for z, _ in periodic_points(Params(-2), m)], expected) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_periodic_points_basilica_high_periods(m):
+    import numpy as np
+
+    z = np.array([z for z, _ in periodic_points(Params(-1), m)])
+    assert z.size == 1 << m and np.isfinite(z).all()
+    w = z.copy()
+    for _ in range(m):
+        w = w * w - 1
+    assert np.abs(w - z).max() <= 1e-9
+    # pairwise distinct, far above the residual; rows in blocks of 256
+    gap = math.inf
+    for i in range(0, z.size, 256):
+        g = np.abs(z[i : i + 256, None] - z[None, :])
+        g[np.arange(g.shape[0]), np.arange(i, i + g.shape[0])] = np.inf
+        gap = min(gap, g.min())
+    assert gap > 1e-6
+
+
+@pytest.mark.parametrize("c, m", [(0.1 + 0.2j, 10), (1j, 10), (0.25j, 11)])
+def test_periodic_points_escaping_roots_come_back(c, m):
+    # on these inputs Ehrlich-Aberth throws a root so far out that f^m
+    # overflows there; its Newton step is then taken from the ratio
+    # recurrence, and the root returns
+    pts = periodic_points(Params(c), m)
+    assert len(pts) == 1 << m
+    worst = 0.0
+    for z, _ in pts:
+        w = z
+        for _ in range(m):
+            w = w * w + c
+        worst = max(worst, abs(w - z))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("c, m", [(1e300, 2), (1e300, 3)])
+def test_periodic_points_overflow_raises(c, m):
+    # f^m overflows: the roots (m = 2) or their multipliers (m = 3) are not
+    # finite, which raises instead of returning NaN
+    with pytest.raises(ArithmeticError, match=f"of the {1 << m} roots of f\\^{m}"):
+        periodic_points(Params(c), m)
+
+
 def test_beta_basilica_matched():
     res = beta_point(Params(-1), feigenbaum_tower(1), 1)
     assert res.matched
@@ -262,13 +348,13 @@ def test_render_is_pinned(scene, digest):
 # numpy build or CPU may round differently.
 PINNED = [
     *[(f"periodic_points(-1, {m})", lambda m=m: periodic_points(Params(-1), m), digest)
-      for m, digest in enumerate(["be822ea1d22ae61f", "b85a489ce8be6545", "d4b798cf71122df4",
-                                  "f4f004b2146005d4", "55e5150a7601520a", "6dc33225dfd9fba1",
+      for m, digest in enumerate(["be822ea1d22ae61f", "7654cf1fc7a50453", "6db13d53750d049d",
+                                  "3afc87c08278451b", "40e616a541a40373", "b824a44d0acc1a0d",
                                   # n = 128 and 256 roots: one and two row blocks of differences
-                                  "d89e9f5bc710b7de", "ecf5e390fbeffc89"], start=1)],
-    ("periodic_points(0.1+0.2j, 4)", lambda: periodic_points(Params(0.1 + 0.2j), 4), "d684fc724d2e6800"),
+                                  "af3e22a941356c91", "126e2204eaa98773"], start=1)],
+    ("periodic_points(0.1+0.2j, 4)", lambda: periodic_points(Params(0.1 + 0.2j), 4), "d28f81bebab6ed33"),
     ("trace_ray(-1, 1/3)", lambda: trace_ray(Params(-1), Angle(1, 3), level_min=1e-9), "a6c32441a00a1964"),
-    ("beta_point(-1, F1, 1)", lambda: beta_point(Params(-1), feigenbaum_tower(1), 1), "7d85833e5d658c73"),
+    ("beta_point(-1, F1, 1)", lambda: beta_point(Params(-1), feigenbaum_tower(1), 1), "2fedbac6ca39c964"),
     ("telescope_check(-2, 2)", lambda: telescope_check(Params(-2), 2.0, 0.3, 0.5, 0.01, range(11)), "457b1eb6d36f0fc7"),
     ("export_svg(F4)", lambda: export_svg(build(feigenbaum_tower(4), 4, 0)), "dfb092329b0890b4"),
     ("export_svg(F4, arcs)", lambda: export_svg(build(feigenbaum_tower(4), 4, 0), circular_arcs=True), "d8ffbd8ba3d152cb"),
