@@ -185,11 +185,6 @@ class Arc:
             return True
         return (t.frac - self.start.frac) % 1 <= self.length
 
-    def interior_contains(self, t: Angle) -> bool:
-        if self.is_full_circle:
-            return True
-        return 0 < (t.frac - self.start.frac) % 1 < self.length
-
     def overlaps(self, other: "Arc") -> bool:
         """True when the two arcs share a sub-arc of positive length."""
         if self.length == 0 or other.length == 0:

@@ -149,7 +149,9 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
     peak RSS then depends on where malloc places it); each row's sum is the
     same as over the full matrix.  A root thrown so far out that f^m
     overflows takes its Newton step from a recurrence that does not.
-    Raises ArithmeticError if a root or multiplier is not finite.
+    Raises ArithmeticError if a root or multiplier is not finite, or if f
+    maps a root beyond the largest root (the roots are then too inexact
+    for f to be evaluated on them).
     """
     import numpy as np
 
@@ -210,9 +212,19 @@ def periodic_points(params: Params, m: int) -> list[tuple[complex, complex]]:
             mask = np.abs(dp) > 1e-14
             z = np.where(mask, z - p / dp, z)
         _, mult = _fn_and_derivative(z, m, c)
+        image = np.abs(z * z + c)
     bad = np.count_nonzero(~(np.isfinite(z) & np.isfinite(mult)))
     if bad:
         raise ArithmeticError(f"{bad} of the {n} roots of f^{m}(z) = z or their multipliers are not finite")
+    # f maps a periodic point to a periodic point, so no image lies beyond
+    # the largest root
+    top = float(np.max(np.abs(z)))
+    worst = float(np.max(image))
+    if not worst <= top + 1e-6 * (1.0 + top):
+        raise ArithmeticError(
+            f"the roots of f^{m}(z) = z are not closed under f: an image has modulus {worst:.3g}, "
+            f"above the largest root {top:.3g}"
+        )
     order = np.lexsort((z.imag.round(9), z.real.round(9)))
     return [(complex(z[i]), complex(mult[i])) for i in order]
 
@@ -318,16 +330,9 @@ def expansion_report(params: Params, sample, m: int) -> ExpansionReport:
     eu, sp = [], []
     excluded = 0
     for z0 in sample:
-        z = complex(z0)
-        d = 1.0 + 0.0j
-        escaped = False
-        for _ in range(m):
-            d = 2.0 * z * d
-            z = z * z + params.c
-            if abs(z) > params.escape_radius:
-                escaped = True
-                break
-        if escaped:
+        z, d = _fn_and_derivative(complex(z0), m, params.c)
+        # past the escape radius an orbit never returns; overflow reads inf or nan
+        if not abs(z) <= params.escape_radius:
             excluded += 1
             continue
         de = abs(d)

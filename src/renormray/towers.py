@@ -276,24 +276,29 @@ def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
     checked to agree.
     """
     pair = comb.level(n)
-    s1 = subwindow(pair, j).arcs
-    result = _itinerary_stays(t, pair.period, s1)
-    if j == 1:
-        alt = _itinerary_stays(t, pair.period, window_at(pair, 1))
-        if alt != result:
-            raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
+    result = _itinerary(t, pair.period, subwindow(pair, j).arcs) is not None
+    if j == 1 and (_itinerary(t, pair.period, window_at(pair, 1)) is not None) != result:
+        raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
 
 
-def _itinerary_stays(t: Angle, p: int, arcset: ArcSet) -> bool:
-    seen = set()
+def _itinerary(t: Angle, p: int, arcs) -> tuple[list[Angle], list[int], int] | None:
+    """t's sigma^p orbit, the index of the arc holding each point, and where the cycle starts.
+
+    None as soon as a point of the orbit lies in none of the arcs.  A rational
+    t has a finite orbit, so the walk ends at the first repeated point.
+    """
+    index: dict[Angle, int] = {}  # the orbit so far, in order
+    held: list[int] = []
     u = t
-    while u not in seen:
-        if not arcset.contains(u):
-            return False
-        seen.add(u)
+    while u not in index:
+        k = next((i for i, arc in enumerate(arcs) if arc.contains(u)), None)
+        if k is None:
+            return None
+        index[u] = len(held)
+        held.append(k)
         u = sigma_pow(u, p)
-    return True
+    return list(index), held, index[u]
 
 
 @dataclass(frozen=True)
@@ -417,38 +422,27 @@ def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     walk checks theta(sigma^p(t)) = 2 theta(t) exactly before returning.
     """
     pair = comb.level(n)
-    labeled = subwindow(pair, pair.period).labeled
-    result = _theta_value(t, pair.period, labeled)
+    p = pair.period
+    labeled = subwindow(pair, p).labeled
+    # indices 0 and 1 read eps = 0, indices 2 and 3 eps = 1
+    arcs = [labeled[k] for k in ("lo_outer", "lo_inner", "hi_inner", "hi_outer")]
+    boundary = {arcs[0].start, arcs[1].end, arcs[2].start, arcs[3].end}
+
+    def itinerary(u: Angle) -> ThetaResult | None:
+        walk = _itinerary(u, p, arcs)
+        if walk is None:
+            return None
+        orbit, held, start = walk
+        bits = "".join("0" if k < 2 or x in boundary else "1" for x, k in zip(orbit, held))
+        return ThetaResult(angle_from_words(bits[:start], bits[start:]), any(x in boundary for x in orbit))
+
+    result = itinerary(t)
     if result is None:
         raise ValueError(f"{t} is not in the level-{n} shadow of the small Julia set")
-    check = _theta_value(sigma_pow(t, pair.period), pair.period, labeled)
+    check = itinerary(sigma_pow(t, p))
     if check is None or check.value != double(result.value):
         raise ValueError("semiconjugacy identity failed")
     return result
-
-
-def _theta_value(t: Angle, p: int, labeled: dict) -> ThetaResult | None:
-    """The itinerary of t's sigma^p orbit, or None if the orbit leaves the arcs."""
-    lo, hi = (labeled["lo_outer"], labeled["lo_inner"]), (labeled["hi_inner"], labeled["hi_outer"])
-    boundary = {lo[0].start, lo[1].end, hi[0].start, hi[1].end}
-    index: dict[Angle, int] = {}
-    bits: list[str] = []
-    flagged = False
-    u = t
-    while u not in index:
-        index[u] = len(bits)
-        if u in boundary:
-            flagged = True
-            bits.append("0")
-        elif any(arc.contains(u) for arc in lo):
-            bits.append("0")
-        elif any(arc.contains(u) for arc in hi):
-            bits.append("1")
-        else:
-            return None
-        u = sigma_pow(u, p)
-    start = index[u]
-    return ThetaResult(angle_from_words("".join(bits[:start]), "".join(bits[start:])), flagged)
 
 
 def omega_probe(source, targets, horizon: int, bits: int):

@@ -124,6 +124,16 @@ def test_periodic_overflow_is_domain_error(capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+def test_periodic_inexact_roots_are_domain_error(capsys):
+    # at c = 1e150 the roots are finite but too inexact for f to map them
+    # among themselves
+    code = run(["periodic", "--c", "1e150", "--m", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_nan_in_output_is_exit_1_with_empty_stdout(monkeypatch, capsys):
     # the backstop: a handler whose result holds NaN prints no JSON
     monkeypatch.setattr(cli, "green", lambda params, z: float("nan"))

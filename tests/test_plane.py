@@ -218,6 +218,22 @@ def test_periodic_points_overflow_raises(c, m):
         periodic_points(Params(c), m)
 
 
+@pytest.mark.parametrize("c, m", [(1e75, 1), (1e75, 2), (1e100, 1), (1e100, 2), (1e150, 1), (1e150, 2)])
+def test_periodic_points_inexact_roots_raise(c, m):
+    # the roots are finite but their absolute error is far above 1: f maps
+    # them beyond the largest root, which no set of periodic points allows
+    with pytest.raises(ArithmeticError, match=f"roots of f\\^{m}\\(z\\) = z are not closed under f"):
+        periodic_points(Params(c), m)
+
+
+@pytest.mark.parametrize("c, m", [(1e4, 3), (1e8, 2), (1e12, 2), (-1e8j, 3)])
+def test_periodic_points_large_c_still_closed_under_f(c, m):
+    # the check's bound is 1e-6 relative; these inputs stay below 1e-9
+    roots = [r for r, _ in periodic_points(Params(c), m)]
+    top = max(abs(r) for r in roots)
+    assert max(abs(r * r + c) for r in roots) <= top + 1e-9 * (1 + top)
+
+
 def test_beta_basilica_matched():
     res = beta_point(Params(-1), feigenbaum_tower(1), 1)
     assert res.matched

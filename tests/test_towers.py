@@ -18,6 +18,7 @@ from renormray.towers import (
     shadow_Kc,
     shadow_component,
     Subwindow,
+    ThetaResult,
     subwindow,
     theta,
     tune,
@@ -498,7 +499,7 @@ def _ref_validate(comb):
         a, b = pair.lo, pair.hi
         for k in range(1, pair.period):
             a, b = double(a), double(b)
-            hits += [f"sigma^{k} hits {x}" for x in (a, b) if interior.interior_contains(x)]
+            hits += [f"sigma^{k} hits {x}" for x in (a, b) if 0 < (x.frac - pair.lo.frac) % 1 < pair.width]
             arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
             disjoint = [arc for arc in arcs if not arc.overlaps(interior)]
             if not disjoint:
@@ -596,3 +597,47 @@ def test_deep_kc_shadow_is_pinned():
     parts = [f"{_hex(a.start.frac)}+{_hex(a.length)}" for a in shad.s]
     parts += [_hex(shad.tau1.refine(64).frac), _hex(shad.tau2.refine(64).frac)]
     assert hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16] == "c64f09d7e26a8077"
+
+
+def _pinned_shadow_lines(comb, name):
+    # in_shadow at j in {1, 2, p} and theta's value and flag, or the text of
+    # the ValueError raised, for every level of the tower.  The ends of the
+    # four arcs of s^1_{n,p} are the endpoints of s_{n,p} and four points
+    # that sigma^p maps onto them: there the tie-break shows in theta's value
+    angles = sorted({Angle(k, (1 << q) - 1) for q in range(1, 8) for k in range((1 << q) - 1)}, key=lambda a: a.frac)
+    for n, pair in enumerate(comb.levels, start=1):
+        p = pair.period
+        ends = [x for arc in subwindow(pair, p).arcs for x in (arc.start, arc.end)]
+        assert set(window_endpoints(pair, p)) <= set(ends)
+        for t in angles + ends:
+            for j in sorted({1, 2, p}):
+                yield f"{name} n={n} t={t} j={j} {_outcome(in_shadow, t, comb, n, j)}"
+            res = _outcome(theta, comb, n, t)
+            if isinstance(res, ThetaResult):
+                res = res.value, res.boundary_collapse
+            yield f"{name} n={n} t={t} theta {res}"
+
+
+def test_shadow_and_theta_are_pinned():
+    # every k/(2^q - 1) with q <= 7 and the ends of the arcs of s^1_{n,p};
+    # digest recorded before in_shadow and theta shared one orbit walk
+    lines = [*_pinned_shadow_lines(feigenbaum_tower(4), "F"), *_pinned_shadow_lines(rabbit_tower(3), "R")]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "33a254a594971695"
+
+
+def test_window_algebra_check_fails_on_a_wrong_delta(monkeypatch):
+    from renormray import selftest
+
+    monkeypatch.setattr(selftest, "window_length", lambda pair, j: 2 * window_length(pair, j))
+    check = selftest.check_window_algebra()
+    assert not check.passed and "Delta differs from the arcs" in check.detail
+
+
+def test_shadow_consistency_check_reports_in_shadow_error(monkeypatch):
+    # a full-circle s_{n,1} admits every orbit, so the two criteria disagree
+    from renormray import selftest, towers
+
+    monkeypatch.setattr(towers, "window_at", lambda pair, j: ArcSet([Arc(Angle(0), Fraction(1))]))
+    check = selftest.check_shadow_consistency()
+    assert not check.passed and "shadow criteria disagree" in check.detail
