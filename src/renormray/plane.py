@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from .circle import Angle, sigma_pow
 
 _GREEN_MAX_ITER = 2048  # iteration cap of green()
+_GREEN_FAR = 1e18  # green() stops at once past this radius
+_GREEN_MIN_ITER = 25  # green() stops past the escape radius only from this step on
 _EA_BLOCK = 1 << 15  # entries of periodic_points' difference block (512 KB)
 _RAY_STEPS_PER_HALVING = 6  # trace_ray level steps per halving of the level
 _RAY_NEWTON_TOL = 1e-12  # trace_ray Newton residual, relative to 1 + |target|
@@ -35,18 +37,63 @@ def green(params: Params, z: complex) -> float:
 
     Once the orbit is far out the tail of the limit is O(1/|z_n|) scaled by
     2^-n, so stopping at a large radius loses nothing at double precision.
+    The exit rule, which _green_grid shares: stop at step n when |f^n(z)| >
+    _GREEN_FAR, or when it exceeds the escape radius and n >= _GREEN_MIN_ITER;
+    after _GREEN_MAX_ITER steps an orbit past the escape radius still counts.
     """
-    big = 1e18
     w = complex(z)
     for n in range(_GREEN_MAX_ITER):
         r = abs(w)
-        if r > big or (r > params.escape_radius and n >= 25):
+        if r > _GREEN_FAR or (r > params.escape_radius and n >= _GREEN_MIN_ITER):
             return math.log(r) * 2.0 ** (-n)
         w = w * w + params.c
     r = abs(w)
     if r > params.escape_radius:
         return math.log(r) * 2.0 ** (-_GREEN_MAX_ITER)
     return 0.0
+
+
+def _green_grid(params: Params, xs, ys):
+    """green(params, complex(x, y)) for y in ys (rows) and x in xs (columns).
+
+    Equal to green's levels bit for bit: one numpy pass iterates the real
+    and imaginary parts of the pixels still running as float64 arrays, in
+    CPython's complex-product order (a*a - b*b + Re c, a*b + b*a + Im c),
+    and tests green's exit rule on np.hypot, which rounds as abs(complex)
+    does.  numpy's complex product, np.abs and np.log do not: each differs
+    from CPython in the last bit on some inputs.  The level of a pixel that
+    stops at step n is green's own expression, math.log(abs(w)) * 2**-n, so
+    a modulus that overflows raises OverflowError as in green.
+    """
+    import numpy as np
+
+    radius = params.escape_radius
+    cr, ci = params.c.real, params.c.imag
+    a = np.tile(xs, len(ys))
+    b = np.repeat(ys, len(xs))
+    live = np.arange(a.size)
+    out = np.zeros(a.size)
+    for n in range(_GREEN_MAX_ITER + 1):
+        if n < _GREEN_MIN_ITER:
+            bound = _GREEN_FAR
+        elif n < _GREEN_MAX_ITER:
+            bound = min(_GREEN_FAR, radius)
+        else:  # green's test after its last step
+            bound = radius
+        with np.errstate(over="ignore"):  # abs() below raises for these
+            stop = np.hypot(a, b) > bound
+        if stop.any():
+            scale = 2.0 ** (-n)
+            out[live[stop]] = [math.log(abs(complex(x, y))) * scale
+                               for x, y in zip(a[stop].tolist(), b[stop].tolist())]
+            keep = ~stop
+            live, a, b = live[keep], a[keep], b[keep]
+        if n == _GREEN_MAX_ITER or not live.size:
+            break
+        ab = a * b
+        a = a * a - b * b + cr
+        b = ab + ab + ci
+    return out.reshape(len(ys), len(xs))
 
 
 @dataclass

@@ -14,6 +14,14 @@ A scene is a plain dict (also the CLI JSON schema):
         {"type": "points", "points": [[re, im], ...], "radius": 3, "color": [..]}
       ]
     }
+
+width and height are integers >= 1, scale is > 0, and c, center and each
+marked point are pairs; other geometry raises ValueError.  The julia and
+equipotential layers each run one numpy pass over the whole grid that
+iterates only the pixels still live.  The equipotential levels come from
+plane._green_grid, which stops each orbit by green's exit rule (past
+_GREEN_FAR, or past the escape radius from step _GREEN_MIN_ITER on) and
+equals green bit for bit.
 """
 
 from __future__ import annotations
@@ -22,44 +30,66 @@ import math
 from fractions import Fraction
 
 from .circle import Angle
-from .plane import Params, green, trace_ray
+from .plane import Params, _green_grid, trace_ray
+
+
+def _size(scene, key):
+    value = scene.get(key, 600)
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and value >= 1 and value == int(value)):
+        raise ValueError(f"scene {key} must be an integer >= 1, not {value!r}")
+    return int(value)
+
+
+def _pair(value, what):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"scene {what} must be a pair [re, im], not {value!r}")
+    return value
 
 
 def _grid(scene):
     import numpy as np
 
-    w, h = int(scene.get("width", 600)), int(scene.get("height", 600))
-    cx, cy = scene.get("center", [0.0, 0.0])
+    w, h = _size(scene, "width"), _size(scene, "height")
+    cx, cy = _pair(scene.get("center", [0.0, 0.0]), "center")
     scale = float(scene.get("scale", 3.5))
+    if not scale > 0:
+        raise ValueError(f"scene scale must be > 0, not {scale!r}")
     xs = cx + (np.arange(w) - (w - 1) / 2.0) * (scale / w)
     ys = cy - (np.arange(h) - (h - 1) / 2.0) * (scale / w)
     return w, h, xs, ys, scale / w
 
 
-def _escape_rows(c, xs, ys, max_iter):
+def _escape_grid(c, xs, ys, max_iter):
+    """Smooth escape count of z -> z^2 + c from each grid point, 0 = interior.
+
+    One numpy pass over the whole grid; each step iterates only the points
+    still inside |z| <= 4.  numpy rounds an element the same whatever its
+    position in the array, so the field does not depend on which other
+    points are still live.
+    """
     import numpy as np
 
-    out = np.zeros((len(ys), len(xs)), dtype=np.float64)
-    for i, y in enumerate(ys):
-        z = xs + 1j * y
-        n = np.zeros(z.shape, dtype=np.int32)
-        alive = np.ones(z.shape, dtype=bool)
-        zz = z.copy()
-        for k in range(max_iter):
-            zz[alive] = zz[alive] * zz[alive] + c
-            esc = alive & (np.abs(zz) > 4.0)
-            n[esc] = k + 1
-            alive &= ~esc
-            if not alive.any():
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    live = np.arange(z.size)
+    n = np.zeros(z.size, dtype=np.int32)
+    mag = np.zeros(z.size)
+    for k in range(max_iter):
+        z = z * z + c
+        r = np.abs(z)
+        esc = r > 4.0
+        if esc.any():
+            hit = live[esc]
+            n[hit] = k + 1
+            mag[hit] = r[esc]
+            keep = ~esc
+            live, z = live[keep], z[keep]
+            if not live.size:
                 break
-        # smooth escape count, 0 = interior
-        val = np.zeros(z.shape)
-        escaped = ~alive
-        if escaped.any():
-            mag = np.abs(zz[escaped])
-            val[escaped] = n[escaped] + 1.0 - np.log2(np.maximum(np.log(np.maximum(mag, 1.0001)), 1e-12))
-        out[i] = val
-    return out
+    field = np.zeros(n.size)
+    escaped = n > 0
+    field[escaped] = n[escaped] + 1.0 - np.log2(np.maximum(np.log(np.maximum(mag[escaped], 1.0001)), 1e-12))
+    return field.reshape(len(ys), len(xs))
 
 
 def _to_px(z, scene_geom):
@@ -102,7 +132,7 @@ def render(scene: dict) -> bytes:
     """Render a scene dict to binary PPM (P6) bytes."""
     import numpy as np
 
-    c = complex(*scene["c"])
+    c = complex(*_pair(scene["c"], "c"))
     geom = _grid(scene)
     w, h, xs, ys, step = geom
     img = np.zeros((h, w, 3), dtype=np.uint8)
@@ -112,10 +142,15 @@ def render(scene: dict) -> bytes:
         kind = layer["type"]
         if kind == "julia":
             max_iter = int(layer.get("max_iter", 256))
-            field = _escape_rows(c, xs, ys, max_iter)
+            if max_iter < 1:
+                raise ValueError(f"julia max_iter must be >= 1, not {max_iter}")
+            # far-out or overflowing points escape with a negative (or -inf)
+            # smooth count; the clip paints them white
+            with np.errstate(over="ignore", invalid="ignore"):
+                field = _escape_grid(c, xs, ys, max_iter)
             interior = field == 0
             inside = np.array(layer.get("interior_color", [0, 0, 0]), dtype=np.uint8)
-            shade = (255.0 * (1.0 - np.exp(-0.08 * field))).astype(np.uint8)
+            shade = np.clip(255.0 * (1.0 - np.exp(-0.08 * field)), 0.0, 255.0).astype(np.uint8)
             tint = np.array(layer.get("color", [40, 60, 160]), dtype=np.float64) / 255.0
             outside = (shade[:, :, None] * tint[None, None, :]).astype(np.uint8)
             img = np.where(interior[:, :, None], inside[None, None, :], 255 - outside)
@@ -123,10 +158,7 @@ def render(scene: dict) -> bytes:
             level = float(layer["level"])
             tol = float(layer.get("tol", 0.15))
             color = np.array(layer.get("color", [200, 30, 30]), dtype=np.uint8)
-            gz = np.empty((h, w))
-            for y in range(h):
-                for x in range(w):
-                    gz[y, x] = green(params, complex(xs[x], ys[y]))
+            gz = _green_grid(params, xs, ys)
             band = np.abs(gz - level) < tol * level
             img[band] = color
         elif kind == "ray":
@@ -140,7 +172,7 @@ def render(scene: dict) -> bytes:
             color = layer.get("color", [230, 120, 0])
             radius = float(layer.get("radius", 3))
             for pt in layer["points"]:
-                px, py = _to_px(complex(pt[0], pt[1]), geom)
+                px, py = _to_px(complex(*_pair(pt, "point")), geom)
                 _draw_disk(img, px, py, radius, color)
         else:
             raise ValueError(f"unknown layer type: {kind}")

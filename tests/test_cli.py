@@ -270,6 +270,24 @@ MALFORMED_SCENES = [
     '{"c": [0, 0], "width": 4, "height": 4, "scale": NaN, "layers": [{"type": "julia"}]}',
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "equipotential", "level": NaN}]}',
     '{"c": [-1, 0], "width": 4, "height": 4, "layers": [{"type": "ray", "angle": "1/3", "level_min": 1e3}]}',
+    # geometry: a size that is not an integer >= 1, a scale that is not > 0,
+    # a c, center or marked point that is not a pair, a julia layer that
+    # iterates nothing
+    '{"c": [0, 0], "width": 0, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": 0, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": -3, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4.7, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": "4", "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": true, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "scale": 0, "layers": [{"type": "points", "points": [[0, 0]]}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "scale": -3.5, "layers": [{"type": "julia"}]}',
+    '{"c": [-1], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [-1, 0, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": "-1", "width": 4, "height": 4, "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "center": [0], "layers": [{"type": "julia"}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "points", "points": [[1]]}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "julia", "max_iter": 0}]}',
+    '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "julia", "max_iter": -5}]}',
 ]
 
 

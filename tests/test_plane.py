@@ -1,7 +1,9 @@
 import cmath
 import hashlib
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from renormray import plane
@@ -17,7 +19,7 @@ from renormray.plane import (
     telescope_check,
     trace_ray,
 )
-from renormray.render import render
+from renormray.render import _escape_grid, _grid, render
 from renormray.towers import feigenbaum_tower
 
 ALPHA = (1 - math.sqrt(5)) / 2
@@ -37,6 +39,51 @@ def test_green_functional_equation():
     params = Params(-0.4 + 0.3j)
     z = 1.7 + 0.9j
     assert green(params, z * z + params.c) == pytest.approx(2 * green(params, z), abs=1e-10)
+
+
+GRID_CS = [-1.0, complex(-0.12256116687665362, 0.7448617666197442), 0.25, -2.0, 0.3 + 0.5j, -0.75 + 0.1j]
+
+
+def _kernel_grids(c):
+    """Named (xs, ys) grids for c: the whole picture, a zoom onto the beta
+    fixed point (on J, so escape times vary), a non-square render grid, and
+    far points around green's stopping radius."""
+    beta = 0.5 + cmath.sqrt(0.25 - c)
+    _, _, xs, ys, _ = _grid({"width": 13, "height": 7, "center": [0.2, -0.1], "scale": 4.0})
+    return {
+        "whole": (np.linspace(-2.2, 2.2, 11), np.linspace(-1.6, 1.6, 9)),
+        "beta_zoom": (beta.real + np.linspace(-1e-3, 1e-3, 9), beta.imag + np.linspace(-1e-3, 1e-3, 6)),
+        "render_13x7": (xs, ys),
+        "far": (np.array([0.0, 3.0, 1e17, 7.1e17, 1e18, 3e18, -1e30]), np.array([0.0, -5e17, 1e18])),
+    }
+
+
+KERNEL_GRIDS = {f"{c}-{name}": (c, xs, ys) for c in GRID_CS for name, (xs, ys) in _kernel_grids(c).items()}
+KERNEL_GRIDS["1x1"] = (-1.0, np.array([0.3]), np.array([0.2]))
+# np.log and math.log round differently on |z_1| = |x^2 - 1| for the first
+# three x and on |z_0| = x for the last two (numpy 2.4.6, x86-64)
+KERNEL_GRIDS["log_ulps"] = (
+    -1.0,
+    np.array([2.4261071305356525, 2.801789508947545, 3.592927964639823, 1.5196425650266188e23, 7.467453271062553e26]),
+    np.array([0.0]),
+)
+
+
+@pytest.mark.parametrize("c, xs, ys", KERNEL_GRIDS.values(), ids=KERNEL_GRIDS.keys())
+def test_green_grid_equals_green_bitwise(c, xs, ys):
+    params = Params(c)
+    got = plane._green_grid(params, xs, ys)
+    want = np.array([[green(params, complex(x, y)) for x in xs] for y in ys])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_green_grid_raises_where_abs_overflows():
+    # abs(complex) raises past the largest float; green and the grid agree
+    with pytest.raises(OverflowError):
+        green(Params(0), complex(1.5e308, 1.5e308))
+    with pytest.raises(OverflowError):
+        plane._green_grid(Params(0), np.array([0.0, 1.5e308]), np.array([1.5e308]))
 
 
 def test_ray_squaring_is_radial():
@@ -304,8 +351,70 @@ def test_render_deterministic_and_ppm():
     }
     d1, d2 = render(scene), render(scene)
     assert d1 == d2
+    assert render({**scene, "width": 40.0}) == d1  # an integral float is a size
     assert d1.startswith(b"P6\n40 30\n255\n")
     assert len(d1) == len(b"P6\n40 30\n255\n") + 40 * 30 * 3
+
+
+def _ref_escape_rows(c, xs, ys, max_iter):
+    """The row-by-row smooth escape count that _escape_grid replaced."""
+    out = np.zeros((len(ys), len(xs)), dtype=np.float64)
+    for i, y in enumerate(ys):
+        z = xs + 1j * y
+        n = np.zeros(z.shape, dtype=np.int32)
+        alive = np.ones(z.shape, dtype=bool)
+        zz = z.copy()
+        for k in range(max_iter):
+            zz[alive] = zz[alive] * zz[alive] + c
+            esc = alive & (np.abs(zz) > 4.0)
+            n[esc] = k + 1
+            alive &= ~esc
+            if not alive.any():
+                break
+        val = np.zeros(z.shape)
+        escaped = ~alive
+        if escaped.any():
+            mag = np.abs(zz[escaped])
+            val[escaped] = n[escaped] + 1.0 - np.log2(np.maximum(np.log(np.maximum(mag, 1.0001)), 1e-12))
+        out[i] = val
+    return out
+
+
+ESCAPE_GRIDS = dict(KERNEL_GRIDS)
+ESCAPE_GRIDS["basilica_scale_40"] = (-1.0, *_grid({"width": 16, "height": 16, "scale": 40.0})[2:4])
+
+
+@pytest.mark.parametrize("c, xs, ys", ESCAPE_GRIDS.values(), ids=ESCAPE_GRIDS.keys())
+@pytest.mark.parametrize("max_iter", [1, 64, 256])
+def test_escape_grid_equals_rows(c, xs, ys, max_iter):
+    got = _escape_grid(c, xs, ys, max_iter)
+    want = _ref_escape_rows(c, xs, ys, max_iter)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# zoomed far out, or centred where z^2 overflows, points escape with a
+# negative smooth count: the shade is clipped, so they paint white
+FAR_FIELD_SCENES = {
+    "basilica_scale_40": {"c": [-1.0, 0.0], "width": 16, "height": 16, "scale": 40.0,
+                          "layers": [{"type": "julia", "max_iter": 256}]},
+    "center_1e308": {"c": [-1.0, 0.0], "width": 16, "height": 16, "center": [1e308, 0.0], "scale": 3.5,
+                     "layers": [{"type": "julia", "max_iter": 256}]},
+}
+
+
+@pytest.mark.parametrize("scene", FAR_FIELD_SCENES.values(), ids=FAR_FIELD_SCENES.keys())
+def test_julia_negative_field_is_white_without_warnings(scene):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = render(scene)
+    w, h, xs, ys, _ = _grid(scene)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = _escape_grid(complex(*scene["c"]), xs, ys, 256)
+    img = np.frombuffer(data, dtype=np.uint8, offset=len(f"P6\n{w} {h}\n255\n")).reshape(h, w, 3)
+    negative = field < 0
+    assert negative.any()
+    assert (img[negative] == 255).all()
 
 
 # sha256 of the PPM bytes, recorded with the same setup as PINNED below.  In
@@ -343,6 +452,39 @@ PINNED_SCENES = [
         },
         "1a54803c12fc05a349f168f93fdfb157787b80dfaadc168414e2e9edee50c2ef",
     ),
+    # the four single-layer julia and equipotential scenes of the benchmark's
+    # plane-render workload, and the README scene at 96x96
+    *[
+        (
+            f"{kind}_{name}_{size}",
+            {"c": c, "width": size, "height": size, "scale": 3.5, "layers": [layer]},
+            digest,
+        )
+        for kind, name, c, size, layer, digest in [
+            ("julia", "basilica", [-1.0, 0.0], 48, {"type": "julia", "max_iter": 256},
+             "7ef07ce9b85cf622acfffb54d6dd128fa5ce69f4cf0efd7ef413036532824df9"),
+            ("julia", "rabbit", [-0.12256116687665362, 0.7448617666197442], 48, {"type": "julia", "max_iter": 256},
+             "e3dca2cc1dd8f0522f13b846ee7663d53c3066b888d75494a5edf1404a2a996a"),
+            ("equipotential", "basilica", [-1.0, 0.0], 32, {"type": "equipotential", "level": 0.05, "tol": 0.2},
+             "79c01b19e5f60b410b0eda4e14e06346cf1a05055d29ade6aec0d35c105dce29"),
+            ("equipotential", "rabbit", [-0.12256116687665362, 0.7448617666197442], 32,
+             {"type": "equipotential", "level": 0.05, "tol": 0.2},
+             "9fd0acdfd60f4d1c504fe47e4310f62c4ac909644bc05f227483efb0e7a4367f"),
+        ]
+    ],
+    (
+        "readme_scene_96",
+        {
+            "c": [-1.0, 0.0], "width": 96, "height": 96, "center": [0.0, 0.0], "scale": 3.5,
+            "layers": [
+                {"type": "julia", "max_iter": 256},
+                {"type": "equipotential", "level": 0.05, "tol": 0.2},
+                {"type": "ray", "angle": "1/3", "level_min": 1e-6},
+                {"type": "points", "points": [[-0.618, 0.0]], "radius": 3},
+            ],
+        },
+        "977415a074bb99f5df88725050617ad9e043f811026083f1c76e47ab69f4a279",
+    ),
 ]
 DEFAULT_LAYER_COLORS = {"equipotential": (200, 30, 30), "ray": (20, 140, 20), "points": (230, 120, 0)}
 
@@ -353,10 +495,11 @@ def test_render_is_pinned(scene, digest):
     assert hashlib.sha256(data).hexdigest() == digest
     body = data[len(f"P6\n{scene['width']} {scene['height']}\n255\n"):]
     colors = set(zip(body[0::3], body[1::3], body[2::3]))
-    for layer in scene["layers"][1:]:
-        assert DEFAULT_LAYER_COLORS[layer["type"]] in colors, layer["type"]
-    # the julia layer shows through somewhere
-    assert colors - set(DEFAULT_LAYER_COLORS.values()) - {(255, 255, 255)}
+    for layer in scene["layers"]:
+        if layer["type"] == "julia":  # it shows through somewhere
+            assert colors - set(DEFAULT_LAYER_COLORS.values()) - {(255, 255, 255)}
+        else:
+            assert DEFAULT_LAYER_COLORS[layer["type"]] in colors, layer["type"]
 
 
 # sha256 prefixes of repr(output), so a change in the last bit of any float
