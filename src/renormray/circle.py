@@ -185,13 +185,6 @@ class Arc:
             return True
         return (t.frac - self.start.frac) % 1 <= self.length
 
-    def overlaps(self, other: "Arc") -> bool:
-        """True when the two arcs share a sub-arc of positive length."""
-        if self.length == 0 or other.length == 0:
-            return False
-        d = (other.start.frac - self.start.frac) % 1
-        return d < self.length or d + other.length > 1
-
     def to_json(self) -> dict:
         return {
             "start": self.start.to_json(),
@@ -202,27 +195,56 @@ class Arc:
         return f"Arc[{self.start}, {self.end}] (len {self.length})"
 
 
+def _offset(a: Arc, b: Arc) -> tuple[int, int]:
+    """The offset d = (b.start - a.start) mod 1 as an unreduced pair (n, q), 0 <= n < q."""
+    x, y = a.start.frac, b.start.frac
+    q = x.denominator
+    if y.denominator == q:
+        return (y.numerator - x.numerator) % q, q
+    q *= y.denominator
+    return (y.numerator * x.denominator - x.numerator * y.denominator) % q, q
+
+
+def _min_length(length: Fraction, num: int, den: int) -> Fraction:
+    """min(length, num/den), building a Fraction only when num/den is the smaller."""
+    return length if length.numerator * den <= num * length.denominator else Fraction(num, den)
+
+
 def _meet(a: Arc, b: Arc) -> list[Arc]:
     """The pieces of positive length shared by two arcs of positive length.
 
-    With d the offset of b's start from a's start, b starts inside a when
-    d < a.length, and b runs on across a's start when d + b.length > 1.
+    With d = n/q the offset of b's start from a's start, b starts inside a
+    when d < a.length, and b runs on across a's start when d + b.length > 1.
+    Both tests and the min of lengths cross-multiply integers.
     """
-    d = (b.start.frac - a.start.frac) % 1
+    n, q = _offset(a, b)
+    an, ad = a.length.numerator, a.length.denominator
+    bn, bd = b.length.numerator, b.length.denominator
     pieces = []
-    if d < a.length:
-        pieces.append(Arc(b.start, min(b.length, a.length - d)))
-    if d + b.length > 1:
-        pieces.append(Arc(a.start, min(a.length, d + b.length - 1)))
+    inside = an * q - n * ad  # (a.length - d) q ad
+    if inside > 0:
+        pieces.append(Arc(b.start, _min_length(b.length, inside, ad * q)))
+    over = n * bd + bn * q - q * bd  # (d + b.length - 1) q bd
+    if over > 0:
+        pieces.append(Arc(a.start, _min_length(a.length, over, q * bd)))
     return pieces
 
 
 def _absorb(a: Arc, b: Arc) -> Arc | None:
-    """a extended over b when b starts within a's reach, else None."""
-    d = (b.start.frac - a.start.frac) % 1
-    if d > a.length:
+    """a extended over b when b starts within a's reach, else None.
+
+    The reach d + b.length is compared as integers; a Fraction is built only
+    when it extends a and stays below the full circle.
+    """
+    n, q = _offset(a, b)
+    an, ad = a.length.numerator, a.length.denominator
+    if n * ad > an * q:
         return None
-    return Arc(a.start, min(1, max(a.length, d + b.length)))
+    bd = b.length.denominator
+    rn, rq = n * bd + b.length.numerator * q, q * bd
+    if rn * ad <= an * rq:
+        return a
+    return Arc(a.start, Fraction(1) if rn >= rq else Fraction(rn, rq))
 
 
 class ArcSet:

@@ -286,15 +286,30 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _render_file(path: str) -> bytes:
+def _float_range_int(text: str) -> int:
+    """A JSON integer, which like every scene number must convert to a float."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{text} is not a finite number") from None
+    return value
+
+
+def _read_scene(path: str):
     with open(path) as fh:
-        return render_scene(json.load(fh, parse_float=_finite_float, parse_constant=_finite_float))
+        return json.load(fh, parse_float=_finite_float, parse_int=_float_range_int, parse_constant=_finite_float)
 
 
 def cmd_render(args):
-    # an unreadable file is an OSError (exit 1); a scene that does not decode
-    # or lacks a key is a usage error
-    data = _parse(args, "scene", _render_file)
+    # an unreadable file is an OSError (exit 1); a scene that does not decode,
+    # lacks a key or has invalid geometry is a usage error; an ArithmeticError
+    # while computing a well-formed scene is a numerical failure (exit 1)
+    scene = _parse(args, "scene", _read_scene)
+    try:
+        data = render_scene(scene)
+    except (ValueError, KeyError, TypeError) as exc:
+        _usage_error(args, f"--scene {args.scene!r} does not parse: {exc!r}")
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(json.dumps({"out": args.out, "bytes": len(data)}, sort_keys=True))

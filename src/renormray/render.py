@@ -117,15 +117,24 @@ def _draw_segment(img, a, b, color, thickness):
     if (max(a[0], b[0]) < -margin or min(a[0], b[0]) > w - 1 + margin
             or max(a[1], b[1]) < -margin or min(a[1], b[1]) > h - 1 + margin):
         return
+    # a sample stamps the offsets |dx|, |dy| <= rad with dx^2 + dy^2 <= thickness^2;
+    # in that box dx^2 + dy^2 <= 2 rad^2, and an integer is at most a bound when it
+    # is at most the bound's floor, so reach is exact and finite for any thickness
+    reach = math.floor(min(thickness * thickness, 2 * rad * rad))
     steps = max(2, int(abs(b[0] - a[0]) + abs(b[1] - a[1])) * 2)
     for k in range(steps + 1):
         t = k / steps
         x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
-        for dy in range(-rad, rad + 1):
-            for dx in range(-rad, rad + 1):
-                xi, yi = int(round(x)) + dx, int(round(y)) + dy
-                if 0 <= xi < w and 0 <= yi < h and dx * dx + dy * dy <= thickness * thickness:
-                    img[yi, xi] = color
+        xc, yc = int(round(x)), int(round(y))
+        # each stamped row, clipped to the image, is one run of pixels
+        for yi in range(max(0, yc - rad), min(h, yc + rad + 1)):
+            left = reach - (yi - yc) ** 2
+            if left < 0:
+                continue
+            half = min(rad, math.isqrt(left))
+            x0, x1 = max(0, xc - half), min(w, xc + half + 1)
+            if x0 < x1:
+                img[yi, x0:x1] = color
 
 
 def render(scene: dict) -> bytes:

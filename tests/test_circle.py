@@ -16,6 +16,7 @@ from renormray.circle import (
     preimages,
     sigma_pow,
 )
+from renormray.towers import feigenbaum_tower, rabbit_tower, subwindow, window_at
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
@@ -227,34 +228,54 @@ def test_meet_touching_arcs_share_nothing():
     assert _meet(Arc(Angle(3, 4), Fraction(1, 2)), Arc(Angle(1, 4), Fraction(1, 2))) == []
 
 
-arc_lengths = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
-    st.fractions(min_value=0, max_value=1, max_denominator=64),
-)
-arcs = st.builds(Arc, st.fractions(min_value=0, max_value=1, max_denominator=64).map(Angle), arc_lengths)
-
-
-@given(arcs, arcs)
-def test_arc_overlaps_matches_arcset_intersection(x, y):
-    assert x.overlaps(y) == _overlap_oracle(x, y)
-    assert y.overlaps(x) == x.overlaps(y)
-
-
 @pytest.mark.parametrize(
     "x, y, expected",
     [
         ((0, Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4)), False),  # shared endpoint only
         ((Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 4)), False),  # touch at both ends across 0
         ((Fraction(3, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 8)), True),  # wraps across 0
-        ((Fraction(1, 8), 0), (0, Fraction(1, 2)), False),  # zero length inside the other arc
-        ((0, 1), (Fraction(1, 3), 0), False),  # zero length inside the full circle
         ((0, 1), (Fraction(1, 3), Fraction(1, 100)), True),  # full circle
         ((Fraction(1, 2), 1), (0, 1), True),
     ],
 )
-def test_arc_overlaps_examples(x, y, expected):
+def test_meet_examples(x, y, expected):
     a, b = Arc(Angle(x[0]), x[1]), Arc(Angle(y[0]), y[1])
-    assert a.overlaps(b) == b.overlaps(a) == _overlap_oracle(a, b) == expected
+    assert bool(_meet(a, b)) == bool(_meet(b, a)) == _overlap_oracle(a, b) == expected
+
+
+def _tower_arc_groups():
+    # the windows and sub-windows of the two deepest levels of F6 and R3 at
+    # j in {1, 2, p}: starts over den 2^p and den 2^(2p), up to 2^192 at F6
+    groups = []
+    for comb in (feigenbaum_tower(6), rabbit_tower(3)):
+        for pair in comb.levels[-2:]:
+            for j in sorted({1, 2, pair.period}):
+                groups += [list(window_at(pair, j).arcs), list(subwindow(pair, j).arcs)]
+    # the arcs of every second window, moved to end exactly at 0, to start
+    # there, to run across 0, and followed by an arc that starts where they end
+    for arc in [a for g in groups[::4] for a in g]:
+        length = arc.length
+        groups.append([Arc(Angle(-length), length), Arc(Angle(0), length / 3)])
+        groups.append([Arc(Angle(-length / 3), length), Arc(arc.end, length / 5), arc])
+    return groups
+
+
+def test_integer_offsets_match_reference_on_tower_arcs():
+    groups = _tower_arc_groups()
+    big = {a.start.denominator for g in groups for a in g if a.start.denominator > 1 << 64}
+    assert len(big) > 2  # unequal denominators above 2^64
+    for xs in groups:
+        x = ArcSet(xs)
+        assert x.arcs == _ref_canonical(xs)
+        for ys in groups:
+            y = ArcSet(ys)
+            assert x.intersect(y).arcs == _ref_intersect(x.arcs, y.arcs)
+            assert x.is_subset_of(y) == (_ref_intersect(x.arcs, y.arcs) == x.arcs)
+        for a in xs:
+            for b in groups[0] + groups[-1]:
+                pieces = _meet(a, b)
+                assert all(p.length > 0 for p in pieces)
+                assert ArcSet(pieces).arcs == _ref_intersect([a], [b])
 
 
 def test_arcset_subset():

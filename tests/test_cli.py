@@ -288,6 +288,9 @@ MALFORMED_SCENES = [
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "points", "points": [[1]]}]}',
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "julia", "max_iter": 0}]}',
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "julia", "max_iter": -5}]}',
+    # integer literals beyond the float range
+    '{"c": [1%s, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}' % ("0" * 400),
+    '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "equipotential", "level": -1%s}]}' % ("0" * 400),
 ]
 
 
@@ -301,6 +304,21 @@ def test_malformed_scene_is_usage_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "img.ppm").exists()
+
+
+def test_render_arithmetic_error_exits_1(tmp_path, capsys):
+    # a well-formed scene whose far-out centre overflows |z| while computing
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "c": [0, 0], "width": 4, "height": 4, "center": [1.5e308, 1.5e308],
+        "layers": [{"type": "equipotential", "level": 0.1}],
+    }))
+    code = run(["render", "--scene", str(scene), "--out", str(tmp_path / "img.ppm")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert not (tmp_path / "img.ppm").exists()
 
 

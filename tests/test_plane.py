@@ -19,7 +19,7 @@ from renormray.plane import (
     telescope_check,
     trace_ray,
 )
-from renormray.render import _escape_grid, _grid, render
+from renormray.render import _draw_segment, _escape_grid, _grid, render
 from renormray.towers import feigenbaum_tower
 
 ALPHA = (1 - math.sqrt(5)) / 2
@@ -472,6 +472,26 @@ PINNED_SCENES = [
              "9fd0acdfd60f4d1c504fe47e4310f62c4ac909644bc05f227483efb0e7a4367f"),
         ]
     ],
+    # the basilica 1/3 ray alone at three thicknesses; at 20 and 80 the stamp
+    # is wider than the image
+    *[
+        (
+            f"ray_{size}_t{thickness}",
+            {
+                "c": [-1.0, 0.0], "width": size, "height": size, "scale": 3.5,
+                "layers": [{"type": "ray", "angle": "1/3", "level_min": 1e-3, "thickness": thickness}],
+            },
+            digest,
+        )
+        for size, thickness, digest in [
+            (8, 1.2, "ff6e2b6e9053c033f56e0c53987a8b15302036a22c4be68c075513f09de03263"),
+            (8, 20, "3d3c44b40204fe79f05650600dcfbe5ade8c383591368f771b2d1f0e75a5c6d1"),
+            (8, 80, "3d3c44b40204fe79f05650600dcfbe5ade8c383591368f771b2d1f0e75a5c6d1"),
+            (32, 1.2, "86a1f0e0f413ba427bd09239541b8fc5de9f5f0c508e5f2477d97abf1f365d6e"),
+            (32, 20, "1faa1562289df7c77b6333da7152ae84db81b03c7f9fba9d2dc8c64090a4391f"),
+            (32, 80, "82d917d2666b1a8b4962bf63ac4a873d788a07376f19a1fbee98b915e2734a7b"),
+        ]
+    ],
     (
         "readme_scene_96",
         {
@@ -500,6 +520,53 @@ def test_render_is_pinned(scene, digest):
             assert colors - set(DEFAULT_LAYER_COLORS.values()) - {(255, 255, 255)}
         else:
             assert DEFAULT_LAYER_COLORS[layer["type"]] in colors, layer["type"]
+
+
+def _ref_draw_segment(img, a, b, color, thickness):
+    # the per-pixel stamp that _draw_segment's clipped row runs replaced
+    h, w, _ = img.shape
+    rad = int(math.ceil(thickness / 2))
+    margin = rad + 1
+    if (max(a[0], b[0]) < -margin or min(a[0], b[0]) > w - 1 + margin
+            or max(a[1], b[1]) < -margin or min(a[1], b[1]) > h - 1 + margin):
+        return
+    steps = max(2, int(abs(b[0] - a[0]) + abs(b[1] - a[1])) * 2)
+    for k in range(steps + 1):
+        t = k / steps
+        x, y = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+        for dy in range(-rad, rad + 1):
+            for dx in range(-rad, rad + 1):
+                xi, yi = int(round(x)) + dx, int(round(y)) + dy
+                if 0 <= xi < w and 0 <= yi < h and dx * dx + dy * dy <= thickness * thickness:
+                    img[yi, xi] = color
+
+
+SEGMENTS = [
+    ((1.3, 2.7), (5.6, 3.1)),  # inside
+    ((3.5, 2.5), (3.5, 2.5)),  # a point on a rounding tie
+    ((-0.5, 4.5), (6.5, -0.5)),  # ties at both ends
+    ((-4.2, 1.0), (2.0, 9.3)),  # leaves through two sides
+    ((-3.0, -2.0), (-2.6, -1.1)),  # outside, within reach of thick stamps
+    ((9.7, 2.0), (30.0, 40.0)),  # outside to the right and below
+    ((-50.0, 3.0), (60.0, 3.4)),  # across the whole image
+]
+
+
+@pytest.mark.parametrize("thickness", [-3.0, -1.0, 0.0, 0.3, 0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 3.7, 4.9, 5.0, 7.3, 12.0, 24.0])
+def test_draw_segment_equals_per_pixel_stamp(thickness):
+    for a, b in SEGMENTS:
+        got = np.full((6, 7, 3), 255, dtype=np.uint8)
+        want = got.copy()
+        _draw_segment(got, a, b, [20, 140, 20], thickness)
+        _ref_draw_segment(want, a, b, [20, 140, 20], thickness)
+        assert np.array_equal(got, want), (a, b)
+
+
+def test_draw_segment_of_huge_thickness_fills_the_image():
+    # thickness^2 overflows a float; every pixel is within the stamp's reach
+    img = np.full((6, 7, 3), 255, dtype=np.uint8)
+    _draw_segment(img, (1.0, 1.0), (2.0, 1.0), [20, 140, 20], 1e200)
+    assert (img == np.array([20, 140, 20], dtype=np.uint8)).all()
 
 
 # sha256 prefixes of repr(output), so a change in the last bit of any float

@@ -468,6 +468,13 @@ def _ref_subwindow(pair, j):
 def _ref_validate(comb):
     entries = []
 
+    def overlaps(x, y):
+        # x and y share a sub-arc of positive length
+        if x.length == 0 or y.length == 0:
+            return False
+        d = (y.start.frac - x.start.frac) % 1
+        return d < x.length or d + y.length > 1
+
     def add(check, level, passed, witness=""):
         entries.append({"check": check, "level": level, "pass": passed, "witness": witness})
 
@@ -501,7 +508,7 @@ def _ref_validate(comb):
             a, b = double(a), double(b)
             hits += [f"sigma^{k} hits {x}" for x in (a, b) if 0 < (x.frac - pair.lo.frac) % 1 < pair.width]
             arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
-            disjoint = [arc for arc in arcs if not arc.overlaps(interior)]
+            disjoint = [arc for arc in arcs if not overlaps(arc, interior)]
             if not disjoint:
                 short.append(f"k={k}: no arc avoids S_n interior")
             elif any(arc.length < pair.width for arc in disjoint):
