@@ -7,6 +7,7 @@ this module is exact: no floats cross any interface here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -78,6 +79,18 @@ class Angle:
 
     def to_json(self) -> dict:
         return {"num": str(self.frac.numerator), "den": str(self.frac.denominator)}
+
+
+def _over_lcm(fracs) -> tuple[int, list[int]]:
+    """(L, nums): the fractions as numerators over L, the lcm of their denominators.
+
+    Exact walks compare and step these plain integers instead of Fractions.
+    """
+    scale = dict.fromkeys(f.denominator for f in fracs)
+    L = math.lcm(*scale)
+    for d in scale:
+        scale[d] = L // d
+    return L, [f.numerator * scale[f.denominator] for f in fracs]
 
 
 def double(t: Angle) -> Angle:

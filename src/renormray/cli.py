@@ -101,11 +101,14 @@ def _usage_error(args, message: str) -> NoReturn:
 
 
 def _parse(args, flag: str, convert):
-    """convert(value of --flag); a value that does not convert is a usage error."""
+    """convert(value of --flag); a value that does not convert is a usage error.
+
+    RecursionError is how json reports input nested too deeply to decode.
+    """
     value = getattr(args, flag)
     try:
         return convert(value)
-    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         _usage_error(args, f"--{flag.replace('_', '-')} {value!r} does not parse: {exc!r}")
 
 

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, double, preimages
+from .circle import Angle, _over_lcm
 
 _STROKE_WIDTH = 0.004  # SVG stroke width of the circle and of every chord
 
@@ -33,34 +33,57 @@ class Chord:
 
 def linked(c1: Chord, c2: Chord) -> bool:
     """True iff the chords cross strictly; shared endpoints count as unlinked."""
-    if {c1.a, c1.b} & {c2.a, c2.b}:
+    _, (a, b, c, d) = _over_lcm([c1.a.frac, c1.b.frac, c2.a.frac, c2.b.frac])
+    return _linked((a, b), (c, d))
+
+
+def _linked(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
+    """linked() on sorted numerator pairs over one denominator."""
+    a, b = c1
+    if a in c2 or b in c2:
         return False
+    # an endpoint is strictly inside the arc (a, b) exactly when a < x < b
+    return (a < c2[0] < b) != (a < c2[1] < b)
 
-    def inside(t: Angle) -> bool:
-        # strictly inside the open arc (c1.a, c1.b) going counterclockwise
-        return 0 < (t.frac - c1.a.frac) % 1 < (c1.b.frac - c1.a.frac) % 1
 
-    return inside(c2.a) != inside(c2.b)
+def _orbit_ints(pair, N: int):
+    """The distinct chords of orbit_chords() as sorted numerator pairs (x, y) over N.
+
+    N is a multiple of both angle denominators (in a tower, the lcm of the
+    level denominators), so sigma is x -> 2x mod N and the walk builds no
+    Fraction.
+    """
+    a = pair.lo.numerator * (N // pair.lo.denominator)
+    b = pair.hi.numerator * (N // pair.hi.denominator)
+    seen = set()
+    for _ in range(pair.period):
+        if a == b:
+            raise ValueError("chord endpoints must differ")
+        c = (a, b) if a < b else (b, a)
+        if c not in seen:
+            seen.add(c)
+            yield c
+        a, b = (a << 1) % N, (b << 1) % N
+
+
+def _chord(c: tuple[int, int], N: int) -> Chord:
+    return Chord(Angle(c[0], N), Angle(c[1], N))
 
 
 def orbit_chords(pair) -> list[Chord]:
     """Distinct chords {sigma^k(lo), sigma^k(hi)}, k = 0..period-1."""
-    seen: dict[Chord, None] = {}
-    a, b = pair.lo, pair.hi
-    for _ in range(pair.period):
-        seen.setdefault(Chord(a, b))
-        a, b = double(a), double(b)
-    return list(seen)
+    N = math.lcm(pair.lo.denominator, pair.hi.denominator)
+    return [_chord(c, N) for c in _orbit_ints(pair, N)]
 
 
-def _crosses(ends: list, partners: list, chord: Chord) -> bool:
+def _crosses(ends: list, partners: list, chord: tuple[int, int]) -> bool:
     """True iff chord crosses a chord of the sorted endpoint list.
 
     ends is sorted and partners[k] is the other endpoint of the chord that
     owns ends[k].  A family chord crosses (a, b) exactly when it has an
     endpoint strictly inside (a, b) and its other endpoint lies outside [a, b].
     """
-    a, b = chord.a.frac, chord.b.frac
+    a, b = chord
     lo, hi = bisect_right(ends, a), bisect_left(ends, b)
     return any(not a <= partners[k] <= b for k in range(lo, hi))
 
@@ -70,59 +93,62 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
 
     Preimage chords are added one generation at a time; for each chord the
     pairing of its four endpoint preimages is the one unlinked with the
-    family built so far.
+    family built so far.  Endpoints are numerators over M = N 2^preimage_depth,
+    N the lcm of the level denominators: a level endpoint is even until the
+    last generation, and the preimages of x are x >> 1 and (x >> 1) + M/2.
     """
     if depth > len(comb.levels):
         raise ValueError("depth exceeds tower size")
-    family: dict[Chord, None] = {}  # insertion-ordered set
+    levels = comb.levels[:depth]
+    N = math.lcm(*(t.denominator for pair in levels for t in (pair.lo, pair.hi)))
+    M = N << preimage_depth
+    half = M >> 1
+    family: dict[tuple[int, int], None] = {}  # insertion-ordered set
     ends, partners = [], []  # sorted endpoints of family, each with its chord's other endpoint
 
-    def add(c: Chord) -> None:
+    def add(c: tuple[int, int]) -> None:
         family[c] = None
-        for x, y in ((c.a.frac, c.b.frac), (c.b.frac, c.a.frac)):
+        for x, y in (c, c[::-1]):
             k = bisect_left(ends, x)
             ends.insert(k, x)
             partners.insert(k, y)
 
-    for pair in comb.levels[:depth]:
-        for c in orbit_chords(pair):
+    for pair in levels:
+        for x, y in _orbit_ints(pair, N):
+            c = (x << preimage_depth, y << preimage_depth)
             if c not in family:
                 add(c)
     frontier = list(family)
     for _ in range(preimage_depth):
         new_frontier = []
-        for chord in frontier:
-            a0, a1 = preimages(chord.a)
-            b0, b1 = preimages(chord.b)
-            pairings = ((Chord(a0, b0), Chord(a1, b1)), (Chord(a0, b1), Chord(a1, b0)))
+        for a, b in frontier:
+            # a < b, so a0 < b0 < a1 < b1
+            a0, b0 = a >> 1, b >> 1
+            a1, b1 = a0 + half, b0 + half
             placed = None
-            for cand in pairings:
-                if not any(_crosses(ends, partners, c) for c in cand) and not linked(*cand):
+            for cand in (((a0, b0), (a1, b1)), ((a0, b1), (b0, a1))):
+                if not any(_crosses(ends, partners, c) for c in cand) and not _linked(*cand):
                     placed = cand
                     break
             if placed is None:
-                raise ValueError(f"no unlinked preimage placement for {chord}")
+                raise ValueError(f"no unlinked preimage placement for {_chord((a, b), M)}")
             for c in placed:
                 if c not in family:
                     add(c)
                     new_frontier.append(c)
         frontier = new_frontier
-    return tuple(sorted(family, key=lambda c: (c.a.frac, c.b.frac)))
+    return tuple(_chord(c, M) for c in sorted(family))
 
 
-def verify_unlinked(family) -> dict:
-    """Linkage scan of a chord family; failures are returned as witness pairs.
+def _nested(pairs) -> bool:
+    """True iff the sorted pairs (a, b), a < b, nest like balanced parentheses.
 
-    The family is pairwise unlinked exactly when its sorted endpoints nest
-    like balanced parentheses.  At a shared point chords close before chords
-    open, the innermost (latest opened) closes first and the longest opens
-    first; the index orders duplicate chords.  Only a family that fails this
-    sweep gets the all-pairs scan, which lists every linked pair in order.
+    At a shared point chords close before chords open, the innermost (latest
+    opened) closes first and the longest opens first; the index orders
+    duplicate chords.
     """
-    family = list(family)
     events = []
-    for i, c in enumerate(family):
-        a, b = c.a.frac, c.b.frac
+    for i, (a, b) in enumerate(pairs):
         events.append((a, 1, -b, i))
         events.append((b, 0, -a, -i))
     events.sort()
@@ -131,9 +157,33 @@ def verify_unlinked(family) -> dict:
         if opens:
             stack.append(i)
         elif stack.pop() != -i:
-            witnesses = [(c, d) for j, c in enumerate(family) for d in family[j + 1:] if linked(c, d)]
-            return {"pass": False, "witnesses": witnesses}
-    return {"pass": True, "witnesses": []}
+            return False
+    return True
+
+
+def _witnesses(family: list) -> list[tuple[Chord, Chord]]:
+    """Every linked pair of the family, in order."""
+    return [(c, d) for j, c in enumerate(family) for d in family[j + 1:] if linked(c, d)]
+
+
+def _witnesses_over(pairs: list, N: int) -> list[tuple[Chord, Chord]]:
+    """verify_unlinked()'s witnesses for sorted numerator pairs over N; Chords only when the sweep fails."""
+    return [] if _nested(pairs) else _witnesses([_chord(c, N) for c in pairs])
+
+
+def verify_unlinked(family) -> dict:
+    """Linkage scan of a chord family; failures are returned as witness pairs.
+
+    The family is pairwise unlinked exactly when its sorted endpoints nest
+    like balanced parentheses; the sweep runs on numerators over the lcm of
+    the endpoint denominators.  Only a family that fails it gets the
+    all-pairs scan, which lists every linked pair in order.
+    """
+    family = list(family)
+    _, ends = _over_lcm([t.frac for c in family for t in (c.a, c.b)])
+    if _nested(zip(ends[::2], ends[1::2])):
+        return {"pass": True, "witnesses": []}
+    return {"pass": False, "witnesses": _witnesses(family)}
 
 
 def _point(t: Angle) -> tuple[float, float]:

@@ -20,12 +20,12 @@ from .circle import (
     Arc,
     ArcSet,
     LimitAngle,
+    _over_lcm,
     angle_from_words,
     binary_words,
-    double,
     sigma_pow,
 )
-from .lamination import orbit_chords, verify_unlinked
+from .lamination import _orbit_ints, _witnesses_over
 
 
 @dataclass(frozen=True)
@@ -276,28 +276,43 @@ def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
     checked to agree.
     """
     pair = comb.level(n)
-    result = _itinerary(t, pair.period, subwindow(pair, j).arcs) is not None
-    if j == 1 and (_itinerary(t, pair.period, window_at(pair, 1)) is not None) != result:
+    p = pair.period
+    sub = subwindow(pair, j).arcs
+    window = window_at(pair, 1) if j == 1 else ()
+    L, (u,), spans = _common((t,), [*sub, *window])
+    result = _itinerary(u, L, p, spans[:len(sub)]) is not None
+    if j == 1 and (_itinerary(u, L, p, spans[len(sub):]) is not None) != result:
         raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
 
 
-def _itinerary(t: Angle, p: int, arcs) -> tuple[list[Angle], list[int], int] | None:
-    """t's sigma^p orbit, the index of the arc holding each point, and where the cycle starts.
+def _common(points, arcs) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """(L, the points' numerators, each arc's (start, length) numerators), all over one L.
 
-    None as soon as a point of the orbit lies in none of the arcs.  A rational
-    t has a finite orbit, so the walk ends at the first repeated point.
+    A point u/L lies in an arc (s, len) exactly when (u - s) mod L <= len,
+    and sigma^p is u -> u 2^p mod L.
     """
-    index: dict[Angle, int] = {}  # the orbit so far, in order
+    L, nums = _over_lcm([x.frac for x in points] + [x for arc in arcs for x in (arc.start.frac, arc.length)])
+    k = len(points)
+    return L, nums[:k], list(zip(nums[k::2], nums[k + 1::2]))
+
+
+def _itinerary(u: int, L: int, p: int, spans) -> tuple[list[int], list[int], int] | None:
+    """The sigma^p orbit of u/L, the index of the span holding each point, and where the cycle starts.
+
+    Spans are (start, length) numerators over L.  None as soon as a point of
+    the orbit lies in none of the spans.  The orbit of u/L is finite, so the
+    walk ends at the first repeated point.
+    """
+    index: dict[int, int] = {}  # the orbit so far, in order
     held: list[int] = []
-    u = t
     while u not in index:
-        k = next((i for i, arc in enumerate(arcs) if arc.contains(u)), None)
+        k = next((i for i, (s, length) in enumerate(spans) if (u - s) % L <= length), None)
         if k is None:
             return None
         index[u] = len(held)
         held.append(k)
-        u = sigma_pow(u, p)
+        u = (u << p) % L
     return list(index), held, index[u]
 
 
@@ -418,31 +433,37 @@ def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     s^1_{n,p}; exact because the itinerary of a rational t is eventually
     periodic.  One sigma^p orbit walk over those four arcs checks the shadow
     precondition and reads the itinerary.  Orbits meeting an endpoint of
-    s_{n,p} are flagged (eps = 0 is used there as a tie-break).  A second
-    walk checks theta(sigma^p(t)) = 2 theta(t) exactly before returning.
+    s_{n,p} are flagged (eps = 0 is used there as a tie-break).  Every other
+    point's label is checked against the component of window_at(pair, p)
+    that holds it, S_{n,0} being the one that holds sigma^(p-1)(lo).
     """
     pair = comb.level(n)
     p = pair.period
     labeled = subwindow(pair, p).labeled
     # indices 0 and 1 read eps = 0, indices 2 and 3 eps = 1
     arcs = [labeled[k] for k in ("lo_outer", "lo_inner", "hi_inner", "hi_outer")]
-    boundary = {arcs[0].start, arcs[1].end, arcs[2].start, arcs[3].end}
-
-    def itinerary(u: Angle) -> ThetaResult | None:
-        walk = _itinerary(u, p, arcs)
-        if walk is None:
-            return None
-        orbit, held, start = walk
-        bits = "".join("0" if k < 2 or x in boundary else "1" for x, k in zip(orbit, held))
-        return ThetaResult(angle_from_words(bits[:start], bits[start:]), any(x in boundary for x in orbit))
-
-    result = itinerary(t)
-    if result is None:
+    L, (u, lo), spans = _common((t, sigma_pow(pair.lo, p - 1)), [*arcs, *window_at(pair, p)])
+    walk = _itinerary(u, L, p, spans[:4])
+    if walk is None:
         raise ValueError(f"{t} is not in the level-{n} shadow of the small Julia set")
-    check = itinerary(sigma_pow(t, p))
-    if check is None or check.value != double(result.value):
-        raise ValueError("semiconjugacy identity failed")
-    return result
+    orbit, held, start = walk
+    (s0, _), (s1, l1), (s2, _), (s3, l3) = spans[:4]
+    boundary = {s0, (s1 + l1) % L, s2, (s3 + l3) % L}
+    # the components of s_{n,p}: S_{n,0}, the one holding sigma^(p-1)(lo), first
+    windows = spans[4:]
+    if (lo - windows[0][0]) % L > windows[0][1]:
+        windows.reverse()
+    bits = ""
+    for x, k in zip(orbit, held):
+        if x in boundary:
+            bits += "0"
+            continue
+        eps = int(k >= 2)
+        w, length = windows[eps]
+        if (x - w) % L > length:
+            raise ValueError(f"theta label {eps} of {Angle(x, L)} disagrees with the component of s_{{n,p}} holding it")
+        bits += str(eps)
+    return ThetaResult(angle_from_words(bits[:start], bits[start:]), any(x in boundary for x in orbit))
 
 
 def omega_probe(source, targets, horizon: int, bits: int):
@@ -467,15 +488,21 @@ def omega_probe(source, targets, horizon: int, bits: int):
     results = []
     for target in targets:
         # with W = 2^win and target p/q, dist(w/W, p/q) < 2^-bits exactly when
-        # d = (w q - p W) mod qW has min(d, qW - d) < q 2^slack
+        # d = (w q - p W) mod qW has min(d, qW - d) < q 2^slack, that is when
+        # w lies within 2^slack of p W/q mod W; the first hit is the first k
+        # in 1..horizon where one of those few w occurs in the prefix
         p, q = target.numerator, target.denominator
         pw, qw, tol = p << win, q << win, q << slack
-        hit = None
-        for k in range(1, horizon + 1):
-            d = (int(sbits[k:k + win], 2) * q - pw) % qw
+        c = pw // q
+        hit, end = None, total
+        for w in range(c - (1 << slack), c + (1 << slack) + 2):
+            w %= 1 << win
+            d = (w * q - pw) % qw
             if min(d, qw - d) < tol:
-                hit = k
-                break
+                k = sbits.find(format(w, f"0{win}b"), 1, end)
+                if k != -1:
+                    # a later window value counts only where it occurs before k
+                    hit, end = k, k - 1 + win
         results.append((target, hit))
     return results
 
@@ -535,7 +562,10 @@ def validate(comb: Tower) -> ValidationReport:
         except ValueError:
             nest_small = False
         add("nesting_s", n + 1, nest_small, "s_{n+1,1} in s_{n,1}")
-    level_chords = []
+    # the orbit chords of every passing level, as numerator pairs over the lcm
+    # of their denominators
+    N = math.lcm(*(t.denominator for pair, ok in zip(comb.levels, pair_ok) if ok for t in (pair.lo, pair.hi)))
+    all_chords = []
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
@@ -562,14 +592,13 @@ def validate(comb: Tower) -> ValidationReport:
             elif any(length < hi0 - lo0 for length in disjoint):
                 short.append(f"k={k}: avoiding arc shorter than S_n")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
-        chords = orbit_chords(pair)
-        level_chords.append(chords)
-        witnesses = verify_unlinked(chords)["witnesses"]
+        chords = list(_orbit_ints(pair, N))
+        all_chords += chords
+        witnesses = _witnesses_over(chords, N)
         add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
         add("min_length_2inf", n, not short, "; ".join(short))
     # cross-level unlinking
     if all(pair_ok):
-        all_chords = [c for chords in level_chords for c in chords]
-        witnesses = verify_unlinked(all_chords)["witnesses"]
+        witnesses = _witnesses_over(all_chords, N)
         add("unlinked_across_levels", 0, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses[:5]))
     return ValidationReport(tuple(entries))

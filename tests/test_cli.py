@@ -239,7 +239,9 @@ MALFORMED_VALUES = [
     "argv",
     [["shadow", "--tower", "feigenbaum", "--depth", "2", "--level", "1", "--j", "1"]]
     + [["tower", "--tower", tower] for tower in MALFORMED_TOWERS]
-    + MALFORMED_VALUES,
+    + MALFORMED_VALUES
+    # nested too deeply for json to decode: RecursionError
+    + [pytest.param(["tower", "--tower", "[" * 5000], id="tower-nested-5000")],
 )
 def test_usage_error_prints_one_line(capsys, argv):
     # shadow without --t, --tower JSON that is not a list of {period, lo, hi},
@@ -291,6 +293,8 @@ MALFORMED_SCENES = [
     # integer literals beyond the float range
     '{"c": [1%s, 0], "width": 4, "height": 4, "layers": [{"type": "julia"}]}' % ("0" * 400),
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "equipotential", "level": -1%s}]}' % ("0" * 400),
+    # nested too deeply for json to decode: RecursionError
+    pytest.param("[" * 100000, id="nested-100000"),
 ]
 
 

@@ -8,6 +8,8 @@ from renormray.circle import Angle
 from renormray.lamination import Chord, build, export_svg, linked, orbit_chords, verify_unlinked
 from renormray.towers import RayPair, Tower, feigenbaum_tower, rabbit_tower, validate
 
+from fraction_reference import _ref_build, _ref_linked, _ref_orbit_chords, _ref_verify_unlinked, outcome
+
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 
 
@@ -35,7 +37,7 @@ def test_linked_symmetric(a, b, c, d):
     if len({x % 1 for x in (a, b, c, d)}) < 4:
         return
     c1, c2 = Chord(Angle(a), Angle(b)), Chord(Angle(c), Angle(d))
-    assert linked(c1, c2) == linked(c2, c1)
+    assert linked(c1, c2) == linked(c2, c1) == _ref_linked(c1, c2)
 
 
 def test_orbit_chords_feigenbaum_level1():
@@ -137,3 +139,98 @@ def test_export_svg_arc_mode():
     fam = build(rabbit_tower(1), 1, 0)
     s = export_svg(fam, circular_arcs=True)
     assert "<path" in s or "<line" in s
+
+
+def test_orbit_chords_match_fraction_reference():
+    # stock levels, every pair (k/(2^p - 1), l/(2^p - 1)) valid or not, and
+    # pairs that doubling collapses to one point, with even denominators, or
+    # of period 0
+    pairs = [*feigenbaum_tower(8).levels, *rabbit_tower(4).levels]
+    for p in range(2, 6):
+        m = (1 << p) - 1
+        pairs += [RayPair(p, Angle(k, m), Angle(l, m)) for k in range(m) for l in range(m)]
+    pairs += [
+        RayPair(2, Angle(1, 4), Angle(3, 4)),
+        RayPair(3, Angle(1, 6), Angle(5, 12)),
+        RayPair(4, Angle(2, 5), Angle(3, 5) + Fraction(1, 1 << 40)),
+        RayPair(0, Angle(1, 3), Angle(2, 3)),
+    ]
+    for pair in pairs:
+        assert outcome(orbit_chords, pair) == outcome(_ref_orbit_chords, pair)
+
+
+BUILD_CASES = [("F4", pre) for pre in range(6)] + [("R3", pre) for pre in range(3)] + [("F6", pre) for pre in range(2)]
+
+
+@pytest.mark.parametrize("tower, pre", BUILD_CASES, ids=[f"{t}-pre{p}" for t, p in BUILD_CASES])
+def test_build_and_verify_match_fraction_reference(tower, pre):
+    comb = {"F4": feigenbaum_tower(4), "R3": rabbit_tower(3), "F6": feigenbaum_tower(6)}[tower]
+    family = build(comb, comb.depth, pre)
+    assert family == _ref_build(comb, comb.depth, pre)
+    assert verify_unlinked(family) == _ref_verify_unlinked(family) == {"pass": True, "witnesses": []}
+
+
+def _linked_towers():
+    # F4 with a level swapped, moved off its period (denominator 5 * 2^40) or
+    # replaced by the rabbit pair, and single self-linked or wide pairs
+    base = list(feigenbaum_tower(4).levels)
+    for k in (2, 3, 4):
+        pair = base[k - 1]
+        for bad in (
+            RayPair(pair.period, pair.hi, pair.lo),
+            RayPair(pair.period, pair.lo, pair.hi + Fraction(1, 1 << 40)),
+            RayPair(3, Angle(1, 7), Angle(2, 7)),
+        ):
+            yield Tower(tuple(base[: k - 1] + [bad] + base[k:]))
+    for lo, hi in ((1, 3), (1, 7)):
+        yield Tower((RayPair(4, Angle(lo, 15), Angle(hi, 15)),))
+    yield Tower((RayPair(3, Angle(1, 7), Angle(6, 7)),))
+
+
+def test_build_matches_fraction_reference_on_linked_towers():
+    # the family, or the text of "no unlinked preimage placement", and the sweep's witnesses
+    raised = 0
+    for comb in _linked_towers():
+        for pre in range(3):
+            got = outcome(build, comb, comb.depth, pre)
+            assert got == outcome(_ref_build, comb, comb.depth, pre)
+            if isinstance(got[0], Chord):
+                assert verify_unlinked(got) == _ref_verify_unlinked(got)
+            else:
+                raised += 1
+    assert raised == 10
+
+
+def _chords(*ends):
+    return [Chord(Angle(Fraction(a)), Angle(Fraction(b))) for a, b in ends]
+
+
+LINKED_FAMILIES = {
+    "mixed_denominators": _chords(("1/3", "2/3"), ("1/4", "1/2"), ("2/5", "9/10"), ("0", "5/7"), ("1/6", "5/6")),
+    "shared_endpoints": _chords(("0", "1/2"), ("1/2", "3/4"), ("1/4", "3/4"), ("0", "1/4"), ("1/8", "5/8")),
+    "duplicates": _chords(("1/3", "2/3"), ("1/3", "2/3"), ("1/6", "1/2"), ("1/6", "1/2"), ("1/2", "5/6")),
+    "nested_then_crossing": _chords(("1/7", "6/7"), ("2/7", "5/7"), ("3/7", "4/7"), ("1/2", "13/14"), ("1/3", "2/3")),
+    "huge_denominators": _chords(("1/3", "2/3"), (Fraction(1, 3) + Fraction(1, 1 << 200), "5/7")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINKED_FAMILIES))
+def test_verify_unlinked_witnesses_match_fraction_reference(name):
+    family = LINKED_FAMILIES[name]
+    report = verify_unlinked(family)
+    assert not report["pass"] and report["witnesses"]
+    assert report == _ref_verify_unlinked(family)
+
+
+@st.composite
+def mixed_chords(draw):
+    # even and odd denominators 2..60, so one family mixes many
+    den = draw(st.integers(2, 60))
+    a, b = draw(st.lists(st.integers(0, den - 1), min_size=2, max_size=2, unique=True))
+    return Chord(Angle(a, den), Angle(b, den))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(mixed_chords(), max_size=12))
+def test_verify_unlinked_matches_fraction_reference(family):
+    assert verify_unlinked(family) == _ref_verify_unlinked(family)

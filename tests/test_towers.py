@@ -1,11 +1,12 @@
 import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
-from renormray.lamination import orbit_chords, verify_unlinked
 from renormray.towers import (
     ComponentAddress,
     RayPair,
@@ -26,6 +27,15 @@ from renormray.towers import (
     window_at,
     window_endpoints,
     window_length,
+)
+
+from fraction_reference import (
+    _ref_in_shadow,
+    _ref_omega_probe,
+    _ref_orbit_chords,
+    _ref_theta,
+    _ref_verify_unlinked,
+    outcome as _outcome,
 )
 
 
@@ -514,23 +524,15 @@ def _ref_validate(comb):
             elif any(arc.length < pair.width for arc in disjoint):
                 short.append(f"k={k}: avoiding arc shorter than S_n")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
-        chords = orbit_chords(pair)
+        chords = _ref_orbit_chords(pair)
         all_chords += chords
-        witnesses = verify_unlinked(chords)["witnesses"]
+        witnesses = _ref_verify_unlinked(chords)["witnesses"]
         add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
         add("min_length_2inf", n, not short, "; ".join(short))
     if all(pair_ok):
-        witnesses = verify_unlinked(all_chords)["witnesses"]
+        witnesses = _ref_verify_unlinked(all_chords)["witnesses"]
         add("unlinked_across_levels", 0, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses[:5]))
     return entries
-
-
-def _outcome(derive, *args):
-    """The value, or the type and text of the ValueError raised."""
-    try:
-        return derive(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def _assert_windows_match(pair, js):
@@ -648,3 +650,114 @@ def test_shadow_consistency_check_reports_in_shadow_error(monkeypatch):
     monkeypatch.setattr(towers, "window_at", lambda pair, j: ArcSet([Arc(Angle(0), Fraction(1))]))
     check = selftest.check_shadow_consistency()
     assert not check.passed and "shadow criteria disagree" in check.detail
+
+
+@pytest.mark.parametrize("depth, digest", [(11, "55fedc55fb2194f7"), (12, "e444e28a8789b857")])
+def test_validate_is_pinned_on_deep_feigenbaum(depth, digest):
+    # the cross-level sweep at 2047 and 4095 chords; digests recorded with the
+    # Fraction walks, which take seconds here (F1..F10 run _ref_validate live)
+    report = validate(feigenbaum_tower(depth)).to_json()
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+def test_theta_rejects_swapped_inner_labels(monkeypatch):
+    # lo_inner and hi_inner swapped: theta(4/5) would read 0 (true value 1/3)
+    from renormray import towers
+
+    real = towers.subwindow
+
+    def swapped(pair, j):
+        sub = real(pair, j)
+        labeled = dict(sub.labeled)
+        labeled["lo_inner"], labeled["hi_inner"] = labeled["hi_inner"], labeled["lo_inner"]
+        return Subwindow(labeled, sub.arcs)
+
+    monkeypatch.setattr(towers, "subwindow", swapped)
+    for t in (Angle(4, 5), Angle(1, 5)):
+        with pytest.raises(ValueError, match="disagrees with the component"):
+            theta(feigenbaum_tower(2), 1, t)
+
+
+def _shadow_angles(pair, rng, samples, max_den):
+    """Window and sub-window endpoints at j = 1 and p, tuned samples and their
+    neighbours, and (at p <= 8) every k/d with d < max_den."""
+    p = pair.period
+    out = []
+    for j in sorted({1, p}):
+        out += window_endpoints(pair, j)
+        out += [x for arc in subwindow(pair, j).arcs for x in (arc.start, arc.end)]
+    for _ in range(samples):
+        den = 2 * rng.randrange(1, 40) + 1
+        t = sigma_pow(tune(pair, Angle(rng.randrange(1, den), den)), p - 1)
+        out += [t, Angle(t.numerator - 1, t.denominator), Angle(t.numerator + 1, t.denominator)]
+    if p <= 8:
+        out += [Angle(k, d) for d in range(1, max_den) for k in range(d)]
+    return out
+
+
+def _theta_outcome(theta_fn, comb, n, t):
+    res = _outcome(theta_fn, comb, n, t)
+    return (res.value, res.boundary_collapse) if isinstance(res, ThetaResult) else res
+
+
+@pytest.mark.parametrize(
+    "tower, depth", [(feigenbaum_tower, 5), (rabbit_tower, 3)], ids=["F1-F5", "R1-R3"]
+)
+def test_shadow_and_theta_match_fraction_reference(tower, depth):
+    comb = tower(depth)
+    rng = random.Random(f"shadow-{depth}")
+    inside = 0
+    for n, pair in enumerate(comb.levels, start=1):
+        p = pair.period
+        for t in _shadow_angles(pair, rng, 12, 24):
+            for j in sorted({1, 2, p}):
+                got = _outcome(in_shadow, t, comb, n, j)
+                assert got == _outcome(_ref_in_shadow, t, comb, n, j), (n, t, j)
+                inside += got is True
+            assert _theta_outcome(theta, comb, n, t) == _theta_outcome(_ref_theta, comb, n, t), (n, t)
+    assert inside > 100
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_shadow_and_theta_match_fraction_reference_on_single_pairs(p):
+    # every pair (k/(2^p - 1), l/(2^p - 1)), valid or not, on the grid a/(2(2^p - 1))
+    m = (1 << p) - 1
+    grid = [Angle(a, 2 * m) for a in range(2 * m)]
+    for k in range(1, m):
+        for l in range(k + 1, m):
+            comb = Tower((RayPair(p, Angle(k, m), Angle(l, m)),))
+            for t in grid:
+                for j in sorted({1, 2, p}):
+                    assert _outcome(in_shadow, t, comb, 1, j) == _outcome(_ref_in_shadow, t, comb, 1, j)
+                assert _theta_outcome(theta, comb, 1, t) == _theta_outcome(_ref_theta, comb, 1, t)
+
+
+def test_omega_probe_matches_fraction_reference_on_seeded_triples():
+    rng = random.Random("omega")
+    sources = [
+        shadow_Kc(feigenbaum_tower(10), 1).tau1,
+        shadow_Kc(rabbit_tower(5), 1).tau1,
+        LimitAngle.from_angle(Angle(1, 3)),
+        LimitAngle.from_angle(Angle(0)),
+        LimitAngle.from_angle(Angle(5, 7)),
+        LimitAngle.from_angle(Angle(12345, 65521)),
+    ]
+    hits = misses = 0
+    for _ in range(240):
+        src = rng.choice(sources)
+        bits = rng.randint(2, 20)
+        horizon = rng.randint(1, 120)
+        win = bits + 4
+        prefix = src.prefix_bits(horizon + win)
+        # a window of the prefix (a hit), a point 2^-bits beside one, and arbitrary rationals
+        k = rng.randint(1, horizon)
+        w = (prefix >> (horizon - k)) % (1 << win)
+        targets = [Angle(w, 1 << win), Angle(w + (1 << 4), 1 << win)]
+        for _ in range(3):
+            den = rng.randrange(1, 1 << rng.randint(1, 24))
+            targets.append(Angle(rng.randrange(den), den))
+        got = omega_probe(src, targets, horizon, bits)
+        assert got == _ref_omega_probe(src, targets, horizon, bits)
+        hits += sum(hit is not None for _, hit in got)
+        misses += sum(hit is None for _, hit in got)
+    assert hits > 200 and misses > 200
