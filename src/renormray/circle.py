@@ -346,7 +346,7 @@ class LimitAngle:
             prev_len = length
             if length <= target:
                 return start, length
-        raise ValueError("insufficient depth")
+        raise ValueError(f"insufficient depth: {nbits} bits need more than {self.max_depth} refinements")
 
     def prefix_bits(self, nbits: int) -> int:
         """First nbits binary digits of the limit, as an integer."""

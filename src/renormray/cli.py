@@ -17,32 +17,9 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from . import selftest as selftest_mod
+# each cmd_* imports its own layers, so a call compiles only what its
+# subcommand runs
 from .circle import Angle
-from .lamination import build, export_svg, verify_unlinked
-from .plane import (
-    Params,
-    beta_point,
-    green,
-    periodic_points,
-    telescope_check,
-    trace_ray,
-)
-from .render import render as render_scene
-from .rotation import minimal_rotation_set
-from .towers import (
-    RayPair,
-    Tower,
-    feigenbaum_tower,
-    in_shadow,
-    omega_probe,
-    rabbit_tower,
-    shadow_Kc,
-    subwindow,
-    theta,
-    validate,
-    window_at,
-)
 
 
 class DomainError(Exception):
@@ -56,7 +33,9 @@ def _complex(text: str) -> complex:
     return z
 
 
-def _tower(args) -> Tower:
+def _tower(args):
+    from .towers import Tower, feigenbaum_tower, rabbit_tower
+
     if args.depth < 0:
         _usage_error(args, f"--depth {args.depth} is negative")
     if args.tower in ("feigenbaum", "rabbit") and not args.depth:
@@ -73,7 +52,9 @@ def _tower(args) -> Tower:
     return Tower(tuple(levels[: args.depth] if args.depth else levels))
 
 
-def _tower_levels(text: str) -> list[RayPair]:
+def _tower_levels(text: str):
+    from .towers import RayPair
+
     return [RayPair(int(lv["period"]), Angle.parse(lv["lo"]), Angle.parse(lv["hi"])) for lv in json.loads(text)]
 
 
@@ -122,6 +103,8 @@ def cmd_tower(args):
 
 
 def cmd_window(args):
+    from .towers import subwindow, window_at
+
     comb = _tower(args)
     pair = comb.level(args.level)
     j = args.j
@@ -141,6 +124,8 @@ def cmd_window(args):
 
 
 def cmd_shadow(args):
+    from .towers import in_shadow, shadow_Kc
+
     if not args.kc and args.t is None:
         _usage_error(args, "needs --t, or --kc for the K_c shadow")
     comb = _tower(args)
@@ -161,12 +146,16 @@ def cmd_shadow(args):
 
 
 def cmd_theta(args):
+    from .towers import theta
+
     comb = _tower(args)
     res = theta(comb, args.level, _parse(args, "t", Angle.parse))
     _emit({"t": args.t, "level": args.level, "value": str(res.value), "boundary_collapse": res.boundary_collapse}, args)
 
 
 def cmd_omega(args):
+    from .towers import omega_probe, shadow_Kc
+
     comb = _tower(args)
     source = shadow_Kc(comb, comb.depth).tau1
     targets = _parse(args, "targets", lambda texts: [Angle.parse(t) for t in texts])
@@ -175,6 +164,8 @@ def cmd_omega(args):
 
 
 def cmd_validate(args):
+    from .towers import validate
+
     report = validate(_tower(args))
     _emit({"pass": report.passed, "checks": report.to_json()}, args)
     if not report.passed:
@@ -182,6 +173,8 @@ def cmd_validate(args):
 
 
 def cmd_rotset(args):
+    from .rotation import minimal_rotation_set
+
     nu = _parse(args, "nu", Fraction)
     if not 0 <= nu < 1:
         _usage_error(args, "--nu must lie in [0, 1)")
@@ -189,6 +182,8 @@ def cmd_rotset(args):
 
 
 def cmd_lamination(args):
+    from .lamination import build, export_svg, verify_unlinked
+
     if args.preimage_depth < 0:
         _usage_error(args, f"--preimage-depth {args.preimage_depth} is negative")
     comb = _tower(args)
@@ -206,6 +201,8 @@ def cmd_lamination(args):
 
 
 def cmd_ray(args):
+    from .plane import Params, trace_ray
+
     params = Params(c=_parse(args, "c", _complex))
     path = trace_ray(params, _parse(args, "t", Angle.parse), level_min=_parse(args, "level_min", _finite_float))
     _emit(
@@ -226,11 +223,15 @@ def cmd_ray(args):
 
 
 def cmd_green(args):
+    from .plane import Params, green
+
     params = Params(c=_parse(args, "c", _complex))
     _emit({"z": args.z, "green": green(params, _parse(args, "z", _complex))}, args)
 
 
 def cmd_periodic(args):
+    from .plane import Params, periodic_points
+
     params = Params(c=_parse(args, "c", _complex))
     pts = periodic_points(params, args.m)
     _emit(
@@ -240,6 +241,8 @@ def cmd_periodic(args):
 
 
 def cmd_beta(args):
+    from .plane import Params, beta_point
+
     params = Params(c=_parse(args, "c", _complex))
     res = beta_point(params, _tower(args), args.level)
     _emit(
@@ -254,6 +257,8 @@ def cmd_beta(args):
 
 
 def cmd_telescope(args):
+    from .plane import Params, telescope_check
+
     params = Params(c=_parse(args, "c", _complex))
     times = _parse(args, "times", lambda text: [int(s) for s in text.split(",")])
     r, kappa, delta = (_parse(args, flag, _finite_float) for flag in ("r", "kappa", "delta"))
@@ -305,6 +310,8 @@ def _read_scene(path: str):
 
 
 def cmd_render(args):
+    from .render import render as render_scene
+
     # an unreadable file is an OSError (exit 1); a scene that does not decode,
     # lacks a key or has invalid geometry is a usage error; an ArithmeticError
     # while computing a well-formed scene is a numerical failure (exit 1)
@@ -319,7 +326,9 @@ def cmd_render(args):
 
 
 def cmd_selftest(args):
-    checks = selftest_mod.run_all()
+    from . import selftest
+
+    checks = selftest.run_all()
     _emit({"pass": all(c.passed for c in checks), "checks": [c.to_json() for c in checks]}, args)
     if not all(c.passed for c in checks):
         raise DomainError("selftest failed")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import renormray
-from renormray import build, cli, export_svg, feigenbaum_tower
+from renormray import build, export_svg, feigenbaum_tower
 from renormray.cli import run
 
 
@@ -136,7 +136,7 @@ def test_periodic_inexact_roots_are_domain_error(capsys):
 
 def test_nan_in_output_is_exit_1_with_empty_stdout(monkeypatch, capsys):
     # the backstop: a handler whose result holds NaN prints no JSON
-    monkeypatch.setattr(cli, "green", lambda params, z: float("nan"))
+    monkeypatch.setattr("renormray.plane.green", lambda params, z: float("nan"))
     code = run(["green", "--c", "0", "--z", "2"])
     captured = capsys.readouterr()
     assert code == 1
@@ -489,7 +489,7 @@ def test_omega_horizon_beyond_depth_is_domain_error(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: insufficient depth"]
+    assert captured.err.splitlines() == ["error: insufficient depth: 4108 bits need more than 10 refinements"]
 
 
 def test_selftest_passes(capsys):
@@ -536,11 +536,16 @@ def test_aborted_ray_is_strict_json_and_exit_1(capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-# Each argv runs through cli.run in one fresh interpreter, which reports the
-# exit code and whether numpy was loaded by then.  Only the subcommands that
-# work on arrays (periodic, beta, render) may load it; the last argv is the
-# positive control.
-NUMPY_PROBE = """
+# Argvs run through cli.run in a fresh interpreter per group, which reports
+# after each argv its exit code, whether numpy was loaded by then and the
+# renormray modules loaded by then.  Each group lists the modules its argvs
+# may load, and its first argv loads all of them.  Only the subcommands that
+# work on arrays (periodic, beta, render) may load numpy.  The exact
+# subcommands load no plane, render, rotation or selftest, and the float
+# ones no towers, lamination, rotation or selftest, except beta, whose tower
+# needs towers.  The real 4x4 render, periodic and omega runs are positive
+# controls: every cmd_* import runs in some group.
+MODULE_PROBE = """
 import contextlib, io, json, sys
 from renormray.cli import run
 seen = []
@@ -550,39 +555,58 @@ for argv in json.loads(sys.argv[1]):
             code = run(argv)
         except SystemExit as exc:
             code = exc.code
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code, "numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("renormray"))])
 print(json.dumps(seen))
 """
-WITHOUT_NUMPY = [
-    (["tower", "--tower", "feigenbaum", "--depth", "3"], 0),
-    (["window", "--tower", "feigenbaum", "--depth", "2", "--level", "2", "--j", "3", "--sub"], 0),
-    (["shadow", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--j", "1", "--t", "2/5"], 0),
-    (["shadow", "--tower", "feigenbaum", "--depth", "4", "--kc", "--bits", "8"], 0),
-    (["theta", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--t", "4/5"], 0),
-    ([*OMEGA_ARGV, "--horizon", "512"], 0),
-    (["validate", "--tower", "rabbit", "--depth", "2"], 0),
-    (["rotset", "--nu", "1/3"], 0),
-    (["lamination", "--tower", "feigenbaum", "--depth", "3"], 0),
-    (["selftest"], 0),
-    (["rotset", "--nu", "3/2"], 2),
-    (["tower", "--tower", "feigenbaum"], 2),
-    (["periodic", "--c", "0", "--m", "two"], 2),
-    (["ray", "--c", "nan", "--t", "1/3"], 2),
-    (["render", "--scene", "no-such-scene.json", "--out", "x.ppm"], 1),
-    (["ray", "--c", "-1", "--t", "1/3", "--level-min", "1e-6"], 0),
-    (["green", "--c", "0", "--z", "2"], 0),
-    (["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01", "--times", "0,1"], 0),
+CLI = ["renormray", "renormray.circle", "renormray.cli"]
+EXACT = [*CLI, "renormray.lamination", "renormray.towers"]
+FLOAT = [*CLI, "renormray.plane"]
+PROBE_GROUPS = [  # (modules, numpy, [(argv, exit code), ...])
+    (EXACT, False, [
+        (["tower", "--tower", "feigenbaum", "--depth", "3"], 0),
+        (["window", "--tower", "feigenbaum", "--depth", "2", "--level", "2", "--j", "3", "--sub"], 0),
+        (["shadow", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--j", "1", "--t", "2/5"], 0),
+        (["shadow", "--tower", "feigenbaum", "--depth", "4", "--kc", "--bits", "8"], 0),
+        (["theta", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--t", "4/5"], 0),
+        ([*OMEGA_ARGV, "--horizon", "512"], 0),
+        (["validate", "--tower", "rabbit", "--depth", "2"], 0),
+        (["lamination", "--tower", "feigenbaum", "--depth", "3"], 0),
+        (["tower", "--tower", "feigenbaum"], 2),
+    ]),
+    ([*CLI, "renormray.rotation"], False, [
+        (["rotset", "--nu", "1/3"], 0),
+        (["rotset", "--nu", "3/2"], 2),
+    ]),
+    ([*EXACT, "renormray.rotation", "renormray.selftest"], False, [(["selftest"], 0)]),
+    (CLI, False, [(["periodic", "--c", "0", "--m", "two"], 2)]),
+    (FLOAT, False, [
+        (["ray", "--c", "-1", "--t", "1/3", "--level-min", "1e-6"], 0),
+        (["green", "--c", "0", "--z", "2"], 0),
+        (["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta", "0.01",
+          "--times", "0,1"], 0),
+        (["ray", "--c", "nan", "--t", "1/3"], 2),
+    ]),
+    (FLOAT, True, [(["periodic", "--c", "0", "--m", "2"], 0)]),
+    ([*EXACT, "renormray.plane"], True, [(["beta", "--c", "-1", "--tower", "feigenbaum", "--depth", "1",
+                                           "--level", "1"], 0)]),
+    ([*FLOAT, "renormray.render"], False, [(["render", "--scene", "no-such-scene.json", "--out", "x.ppm"], 1)]),
+    ([*FLOAT, "renormray.render"], True, [(["render", "--scene", "scene.json", "--out", "img.ppm"], 0)]),
 ]
 
 
 def test_numpy_loads_only_for_array_subcommands(tmp_path):
-    argvs = [argv for argv, _ in WITHOUT_NUMPY] + [["periodic", "--c", "0", "--m", "2"]]
+    (tmp_path / "scene.json").write_text(json.dumps({"c": [-1, 0], "width": 4, "height": 4,
+                                                     "layers": [{"type": "julia", "max_iter": 20}]}))
     env = {**os.environ, "PYTHONPATH": str(Path(renormray.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-    seen = json.loads(proc.stdout)
-    expected = [[code, False] for _, code in WITHOUT_NUMPY] + [[0, True]]
-    assert dict(zip(map(" ".join, argvs), seen)) == dict(zip(map(" ".join, argvs), expected))
+    seen, expected = {}, {}
+    for modules, numpy, runs in PROBE_GROUPS:
+        argvs = [argv for argv, _ in runs]
+        proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(argvs)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        seen.update(zip(map(" ".join, argvs), json.loads(proc.stdout)))
+        expected.update((" ".join(argv), [code, numpy, sorted(modules)]) for argv, code in runs)
+    assert seen == expected
+    assert (tmp_path / "img.ppm").read_bytes().startswith(b"P6\n4 4\n")
 
 
 # Integers of these towers have more than 4300 decimal digits, which Python

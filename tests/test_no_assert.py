@@ -49,14 +49,7 @@ def test_every_definition_is_read():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    known |= {  # re-exported by __init__.py
-        alias.asname or alias.name
-        for path, tree in modules
-        if path.name == "__init__.py"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    known |= set(renormray.__all__)  # re-exported by __init__.py
     found = [
         f"{path.name}:{node.lineno} {node.name}"
         for path, tree in modules
