@@ -178,8 +178,8 @@ class Arc:
     length: Fraction
 
     def __post_init__(self):
-        length = Fraction(self.length)
-        if not 0 <= length <= 1:
+        length = self.length if type(self.length) is Fraction else Fraction(self.length)
+        if not 0 <= length.numerator <= length.denominator:
             raise ValueError("arc length must lie in [0, 1]")
         object.__setattr__(self, "length", length)
         if not isinstance(self.start, Angle):
@@ -194,8 +194,6 @@ class Arc:
         return self.length == 1
 
     def contains(self, t: Angle) -> bool:
-        if self.is_full_circle:
-            return True
         return (t.frac - self.start.frac) % 1 <= self.length
 
     def to_json(self) -> dict:

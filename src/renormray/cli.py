@@ -268,19 +268,7 @@ def cmd_telescope(args):
             "pass": report.passed,
             "aborted_at": report.aborted_at,
             "univalence_is_heuristic": report.univalence_is_heuristic,
-            "stages": [
-                {
-                    "l": s.l,
-                    "n_l": s.n_l,
-                    "time_density_ok": s.time_density_ok,
-                    "branch_ok": s.branch_ok,
-                    "margin": s.margin,
-                    "margin_ok": s.margin_ok,
-                    "univalent_heuristic": s.univalent_heuristic,
-                    "note": s.note,
-                }
-                for s in report.stages
-            ],
+            "stages": [vars(s) for s in report.stages],
         },
         args,
     )
@@ -435,6 +423,9 @@ def run(argv=None) -> int:
         args.handler(args)
     except (DomainError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

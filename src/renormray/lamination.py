@@ -161,14 +161,16 @@ def _nested(pairs) -> bool:
     return True
 
 
-def _witnesses(family: list) -> list[tuple[Chord, Chord]]:
-    """Every linked pair of the family, in order."""
-    return [(c, d) for j, c in enumerate(family) for d in family[j + 1:] if linked(c, d)]
+def _witnesses(pairs: list) -> list[tuple[int, int]]:
+    """Index pairs (i, k), i < k, of every linked pair of sorted numerator pairs over one denominator, in order.
 
-
-def _witnesses_over(pairs: list, N: int) -> list[tuple[Chord, Chord]]:
-    """verify_unlinked()'s witnesses for sorted numerator pairs over N; Chords only when the sweep fails."""
-    return [] if _nested(pairs) else _witnesses([_chord(c, N) for c in pairs])
+    The pairs are pairwise unlinked exactly when they nest (a failed sweep
+    shows a < c < b < d), so only a family that fails the sweep gets the
+    all-pairs scan.
+    """
+    if _nested(pairs):
+        return []
+    return [(i, k) for i, c in enumerate(pairs) for k in range(i + 1, len(pairs)) if _linked(c, pairs[k])]
 
 
 def verify_unlinked(family) -> dict:
@@ -181,9 +183,8 @@ def verify_unlinked(family) -> dict:
     """
     family = list(family)
     _, ends = _over_lcm([t.frac for c in family for t in (c.a, c.b)])
-    if _nested(zip(ends[::2], ends[1::2])):
-        return {"pass": True, "witnesses": []}
-    return {"pass": False, "witnesses": _witnesses(family)}
+    witnesses = _witnesses(list(zip(ends[::2], ends[1::2])))
+    return {"pass": not witnesses, "witnesses": [(family[i], family[k]) for i, k in witnesses]}
 
 
 def _point(t: Angle) -> tuple[float, float]:

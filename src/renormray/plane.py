@@ -336,12 +336,6 @@ def feigenbaum_parameter(depth: int) -> float:
         a = _ACCUMULATION - 1e-9
         b = s_prev - 0.5 * (s_prev - a)
         fa, fb = crit_orbit(a, n), crit_orbit(b, n)
-        if fa == 0.0:
-            s_prev = a
-            continue
-        if fb == 0.0:
-            s_prev = b
-            continue
         if (fa > 0) == (fb > 0):
             raise ArithmeticError(f"bisection bracket failed at depth {d}")
         for _ in range(200):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .circle import (
     HALF,
@@ -20,12 +21,11 @@ from .circle import (
     Arc,
     ArcSet,
     LimitAngle,
-    _over_lcm,
     angle_from_words,
     binary_words,
     sigma_pow,
 )
-from .lamination import _orbit_ints, _witnesses_over
+from .lamination import _chord, _orbit_ints, _witnesses
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,34 @@ def window_length(pair: RayPair, j: int) -> Fraction:
 def window_at(pair: RayPair, j: int) -> ArcSet:
     """s_{n,j} = sigma^(j-1)(s_{n,1}): two arcs of length Delta_{n,j} < 1/2."""
     p = pair.period
+    den, _, starts, dj = _window_at(pair, j)
+    delta = _over(dj, den, p)
+    return ArcSet([Arc(Angle(_over(x, den, p)), delta) for x in starts])
+
+
+def _window_at(pair: RayPair, j: int) -> tuple[int, int, tuple[int, int], int]:
+    """window_at() as integers: (den, D, the starts of the t and t~' components over D, dj)."""
     den, D, (t, t1, tt1, tt), dj = _window(pair, j)
     if not 2 * dj < D:
         raise ValueError("inconsistent pair: window component length is not below 1/2")
     # sigma^(j-1) is injective on each component, so images are plain arcs
     if not (t1 == (t + dj) % D and tt == (tt1 + dj) % D):
         raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
-    delta = _over(dj, den, p)
-    s = ArcSet([Arc(Angle(_over(t, den, p)), delta), Arc(Angle(_over(tt1, den, p)), delta)])
-    if len(s) != 2:
+    if not _apart((t, tt1), dj, D):
         raise ValueError("window components are not disjoint")
-    return s
+    return den, D, (t, tt1), dj
+
+
+def _apart(starts, length: int, L: int) -> bool:
+    """True iff closed arcs of one length at these starts over L neither meet nor touch.
+
+    Arcs at x and y meet or touch, and an ArcSet merges them, exactly when (y - x + length) mod L <= 2 length.
+    """
+    twice = 2 * length
+    for x, y in combinations(starts, 2):
+        if (y - x + length) % L <= twice:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -239,33 +256,39 @@ def subwindow(pair: RayPair, j: int) -> Subwindow:
     sigma^p maps each arc homeomorphically onto one window of s_{n,j}; the
     endpoint images are checked exactly.
     """
+    p2 = 2 * pair.period
+    den, _, starts, dj = _subwindow(pair, j)
+    delta1 = _over(dj, den, p2)
+    labels = ("lo_outer", "lo_inner", "hi_inner", "hi_outer")
+    labeled = {label: Arc(Angle(_over(x, den, p2)), delta1) for label, x in zip(labels, starts)}
+    return Subwindow(labeled, ArcSet(labeled.values()))
+
+
+def _subwindow(pair: RayPair, j: int) -> tuple[int, int, tuple[int, int, int, int], int]:
+    """subwindow() as integers: (den, E = den 2^(2p), the four starts over E in label order, their length)."""
     p = pair.period
     den, D, (t, t1, tt1, tt), dj = _window(pair, j)
     # over E = D 2^p the sub-window arcs have length dj and the windows dj 2^p;
     # sigma^p(x/E) = x/D mod 1
     E, host_len = D << p, dj << p
-    starts = {
-        "lo_outer": t << p,
-        "lo_inner": ((t1 << p) - dj) % E,
-        "hi_inner": tt1 << p,
-        "hi_outer": ((tt << p) - dj) % E,
-    }
-    windows = {"lo": t, "hi": tt1}
-    onto = {"lo_outer": "lo", "lo_inner": "hi", "hi_inner": "lo", "hi_outer": "hi"}
-    for label, x in starts.items():
-        target = windows[onto[label]]
+    starts = (t << p, ((t1 << p) - dj) % E, tt1 << p, ((tt << p) - dj) % E)
+    # lo_outer and hi_inner map onto the lo window, lo_inner and hi_outer onto the hi one
+    for x, target in zip(starts, (t, tt1, t, tt1)):
         if x % D != target or (x + dj) % D != (target + dj) % D:
             raise ValueError("inconsistent pair: sub-window endpoint check failed")
-    for x in starts.values():
+    for x in starts:
         host = t if (x - (t << p)) % E <= host_len else tt1
         if not ((x - (host << p)) % E <= host_len and (x + dj - (host << p)) % E <= host_len):
             raise ValueError("inconsistent pair: sub-window leaves its window")
-    delta1 = _over(dj, den, 2 * p)
-    labeled = {label: Arc(Angle(_over(x, den, 2 * p)), delta1) for label, x in starts.items()}
-    arcs = ArcSet(labeled.values())
-    if len(arcs) != 4:
+    if not _apart(starts, dj, E):
         raise ValueError("inconsistent pair: expected four sub-window components")
-    return Subwindow(labeled, arcs)
+    return den, E, starts, dj
+
+
+def _spans(starts, length: int, M: int, L: int) -> list[tuple[int, int]]:
+    """(start, length) numerators over L of arcs given over M, a divisor of L."""
+    k = L // M
+    return [(x * k, length * k) for x in starts]
 
 
 def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
@@ -273,36 +296,28 @@ def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
 
     Checks sigma^(k p_n)(t) in s^1_{n,j} over the whole (finite) sigma^(p_n)
     orbit of t.  For j = 1 the equivalent criterion through s_{n,1} is
-    checked to agree.
+    checked to agree.  The walks run on numerators over lcm(E, t's denominator).
     """
     pair = comb.level(n)
     p = pair.period
-    sub = subwindow(pair, j).arcs
-    window = window_at(pair, 1) if j == 1 else ()
-    L, (u,), spans = _common((t,), [*sub, *window])
-    result = _itinerary(u, L, p, spans[:len(sub)]) is not None
-    if j == 1 and (_itinerary(u, L, p, spans[len(sub):]) is not None) != result:
-        raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
+    _, E, starts, d1 = _subwindow(pair, j)
+    L = math.lcm(E, t.denominator)
+    u = t.numerator * (L // t.denominator)
+    result = _itinerary(u, L, p, _spans(starts, d1, E, L)) is not None
+    if j == 1:
+        _, D, ends, dj = _window_at(pair, 1)
+        if (_itinerary(u, L, p, _spans(ends, dj, D, L)) is not None) != result:
+            raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
-
-
-def _common(points, arcs) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """(L, the points' numerators, each arc's (start, length) numerators), all over one L.
-
-    A point u/L lies in an arc (s, len) exactly when (u - s) mod L <= len,
-    and sigma^p is u -> u 2^p mod L.
-    """
-    L, nums = _over_lcm([x.frac for x in points] + [x for arc in arcs for x in (arc.start.frac, arc.length)])
-    k = len(points)
-    return L, nums[:k], list(zip(nums[k::2], nums[k + 1::2]))
 
 
 def _itinerary(u: int, L: int, p: int, spans) -> tuple[list[int], list[int], int] | None:
     """The sigma^p orbit of u/L, the index of the span holding each point, and where the cycle starts.
 
-    Spans are (start, length) numerators over L.  None as soon as a point of
-    the orbit lies in none of the spans.  The orbit of u/L is finite, so the
-    walk ends at the first repeated point.
+    Spans are (start, length) numerators over L: u/L lies in one exactly
+    when (u - start) mod L <= length, and sigma^p is u -> u 2^p mod L.  None
+    as soon as a point of the orbit lies in none of the spans.  The orbit of
+    u/L is finite, so the walk ends at the first repeated point.
     """
     index: dict[int, int] = {}  # the orbit so far, in order
     held: list[int] = []
@@ -435,24 +450,23 @@ def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     precondition and reads the itinerary.  Orbits meeting an endpoint of
     s_{n,p} are flagged (eps = 0 is used there as a tie-break).  Every other
     point's label is checked against the component of window_at(pair, p)
-    that holds it, S_{n,0} being the one that holds sigma^(p-1)(lo).
+    that holds it, S_{n,0} being the one that starts at sigma^(p-1)(lo).
     """
     pair = comb.level(n)
     p = pair.period
-    labeled = subwindow(pair, p).labeled
-    # indices 0 and 1 read eps = 0, indices 2 and 3 eps = 1
-    arcs = [labeled[k] for k in ("lo_outer", "lo_inner", "hi_inner", "hi_outer")]
-    L, (u, lo), spans = _common((t, sigma_pow(pair.lo, p - 1)), [*arcs, *window_at(pair, p)])
-    walk = _itinerary(u, L, p, spans[:4])
+    _, E, starts, d1 = _subwindow(pair, p)
+    # the components of s_{n,p}: S_{n,0}, the one starting at sigma^(p-1)(lo), first
+    _, D, ends, dj = _window_at(pair, p)
+    L = math.lcm(E, t.denominator)
+    # spans 0 and 1 (lo_outer, lo_inner) read eps = 0, spans 2 and 3 eps = 1
+    spans = _spans(starts, d1, E, L)
+    walk = _itinerary(t.numerator * (L // t.denominator), L, p, spans)
     if walk is None:
         raise ValueError(f"{t} is not in the level-{n} shadow of the small Julia set")
     orbit, held, start = walk
-    (s0, _), (s1, l1), (s2, _), (s3, l3) = spans[:4]
+    (s0, _), (s1, l1), (s2, _), (s3, l3) = spans
     boundary = {s0, (s1 + l1) % L, s2, (s3 + l3) % L}
-    # the components of s_{n,p}: S_{n,0}, the one holding sigma^(p-1)(lo), first
-    windows = spans[4:]
-    if (lo - windows[0][0]) % L > windows[0][1]:
-        windows.reverse()
+    windows = _spans(ends, dj, D, L)
     bits = ""
     for x, k in zip(orbit, held):
         if x in boundary:
@@ -540,6 +554,11 @@ def validate(comb: Tower) -> ValidationReport:
     def add(check, level, passed, witness=""):
         entries.append(CheckResult(check, level, passed, witness))
 
+    def linkage(chords, limit=None):
+        # pass, and the first limit linked pairs as Chords over N
+        found = _witnesses(chords)[:limit]
+        return not found, "; ".join(f"{_chord(chords[i], N)} x {_chord(chords[k], N)}" for i, k in found)
+
     pair_ok = []
     for n, pair in enumerate(comb.levels, start=1):
         problems = pair.check()
@@ -594,11 +613,9 @@ def validate(comb: Tower) -> ValidationReport:
         add("orbit_exclusion", n, not hits, "; ".join(hits))
         chords = list(_orbit_ints(pair, N))
         all_chords += chords
-        witnesses = _witnesses_over(chords, N)
-        add("unlinked_chords", n, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses))
+        add("unlinked_chords", n, *linkage(chords))
         add("min_length_2inf", n, not short, "; ".join(short))
     # cross-level unlinking
     if all(pair_ok):
-        witnesses = _witnesses_over(all_chords, N)
-        add("unlinked_across_levels", 0, not witnesses, "; ".join(f"{c} x {d}" for c, d in witnesses[:5]))
+        add("unlinked_across_levels", 0, *linkage(all_chords, 5))
     return ValidationReport(tuple(entries))

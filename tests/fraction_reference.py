@@ -1,16 +1,18 @@
 """The Fraction walks of the exact layer, kept as references for its integer kernel.
 
 These are the implementations that stepped and compared Fractions before
-the chord, itinerary and omega walks moved to numerators over one common
-denominator.  Tests compare the integer code against them for equal values,
-or equal exception types and texts.
+the window derivation and the chord, itinerary and omega walks moved to
+numerators over one common denominator.  Tests compare the integer code
+against them for equal values, or equal exception types and texts.  The
+shadow and theta references read the windows from the Fraction derivation
+below, not from renormray.towers.
 """
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
-from renormray.circle import LimitAngle, angle_from_words, double, preimages, sigma_pow
+from renormray.circle import Angle, Arc, ArcSet, LimitAngle, angle_from_words, double, preimages, sigma_pow
 from renormray.lamination import Chord
-from renormray.towers import subwindow, window_at
 
 
 def outcome(derive, *args):
@@ -103,6 +105,78 @@ def _ref_verify_unlinked(family):
     return {"pass": True, "witnesses": []}
 
 
+def _ref_window_length(pair, j):
+    return pair.width / (1 << (pair.period - j + 1))
+
+
+def _ref_check(pair):
+    problems = []
+    if pair.period < 1:
+        problems.append(f"period {pair.period} < 1")
+        return problems
+    if not (Angle(0) < pair.lo < pair.hi):
+        problems.append(f"angles not ordered: 0 < {pair.lo} < {pair.hi} < 1 fails")
+    if sigma_pow(pair.lo, pair.period) != pair.lo:
+        problems.append(f"sigma^{pair.period}({pair.lo}) = {sigma_pow(pair.lo, pair.period)} != {pair.lo}")
+    if sigma_pow(pair.hi, pair.period) != pair.hi:
+        problems.append(f"sigma^{pair.period}({pair.hi}) = {sigma_pow(pair.hi, pair.period)} != {pair.hi}")
+    return problems
+
+
+def _ref_window_endpoints(pair, j):
+    if not 1 <= j <= pair.period:
+        raise ValueError(f"j must lie in 1..{pair.period}")
+    problems = _ref_check(pair)
+    if problems or pair.width >= Fraction(1, 2):
+        raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
+    delta = _ref_window_length(pair, 1)
+    lo1 = pair.lo + delta
+    hi1 = pair.hi - delta
+    if sigma_pow(lo1, pair.period) != pair.hi or sigma_pow(hi1, pair.period) != pair.lo:
+        raise ValueError("pair is not a valid renormalization pair: window endpoint check failed")
+    return tuple(sigma_pow(t, j - 1) for t in (pair.lo, lo1, hi1, pair.hi))
+
+
+def _ref_window_at(pair, j):
+    t_j, t1_j, tt1_j, tt_j = _ref_window_endpoints(pair, j)
+    delta = _ref_window_length(pair, j)
+    if not delta < Fraction(1, 2):
+        raise ValueError("inconsistent pair: window component length is not below 1/2")
+    if not (t1_j == t_j + delta and tt_j == tt1_j + delta):
+        raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
+    s = ArcSet([Arc(t_j, delta), Arc(tt1_j, delta)])
+    if len(s) != 2:
+        raise ValueError("window components are not disjoint")
+    return s
+
+
+def _ref_subwindow(pair, j):
+    p = pair.period
+    t_j, t1_j, tt1_j, tt_j = _ref_window_endpoints(pair, j)
+    delta = _ref_window_length(pair, j)
+    delta1 = delta / (1 << p)
+    labeled = {
+        "lo_outer": Arc(t_j, delta1),
+        "lo_inner": Arc(t1_j - delta1, delta1),
+        "hi_inner": Arc(tt1_j, delta1),
+        "hi_outer": Arc(tt_j - delta1, delta1),
+    }
+    windows = {"lo": Arc(t_j, delta), "hi": Arc(tt1_j, delta)}
+    onto = {"lo_outer": "lo", "lo_inner": "hi", "hi_inner": "lo", "hi_outer": "hi"}
+    for label, arc in labeled.items():
+        target = windows[onto[label]]
+        if sigma_pow(arc.start, p) != target.start or sigma_pow(arc.end, p) != target.end:
+            raise ValueError("inconsistent pair: sub-window endpoint check failed")
+    for arc in labeled.values():
+        host = windows["lo"] if windows["lo"].contains(arc.start) else windows["hi"]
+        if not (host.contains(arc.start) and host.contains(arc.end)):
+            raise ValueError("inconsistent pair: sub-window leaves its window")
+    arcs = ArcSet(labeled.values())
+    if len(arcs) != 4:
+        raise ValueError("inconsistent pair: expected four sub-window components")
+    return arcs, labeled
+
+
 def _ref_itinerary(t, p, arcs):
     index = {}
     held = []
@@ -119,8 +193,8 @@ def _ref_itinerary(t, p, arcs):
 
 def _ref_in_shadow(t, comb, n, j):
     pair = comb.level(n)
-    result = _ref_itinerary(t, pair.period, subwindow(pair, j).arcs) is not None
-    if j == 1 and (_ref_itinerary(t, pair.period, window_at(pair, 1)) is not None) != result:
+    result = _ref_itinerary(t, pair.period, _ref_subwindow(pair, j)[0]) is not None
+    if j == 1 and (_ref_itinerary(t, pair.period, _ref_window_at(pair, 1)) is not None) != result:
         raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
 
@@ -129,7 +203,7 @@ def _ref_theta(comb, n, t):
     """(value, boundary_collapse), checked by the second walk theta(sigma^p t) = 2 theta(t)."""
     pair = comb.level(n)
     p = pair.period
-    labeled = subwindow(pair, p).labeled
+    labeled = _ref_subwindow(pair, p)[1]
     arcs = [labeled[k] for k in ("lo_outer", "lo_inner", "hi_inner", "hi_outer")]
     boundary = {arcs[0].start, arcs[1].end, arcs[2].start, arcs[3].end}
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -142,6 +143,47 @@ def test_nan_in_output_is_exit_1_with_empty_stdout(monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 74.5 GiB for an array", "error: Unable to allocate 74.5 GiB for an array\n"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_error_is_exit_1_without_traceback(monkeypatch, tmp_path, capsys, message, line):
+    # the patched render raises before any array is made
+    def out_of_memory(scene):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(importlib.import_module("renormray.render"), "render", out_of_memory)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"c": [0, 0], "width": 100000, "height": 100000, "layers": [{"type": "julia"}]}))
+    code = run(["render", "--scene", str(scene), "--out", str(tmp_path / "img.ppm")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == line
+    assert not (tmp_path / "img.ppm").exists()
+
+
+def _pinned(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_beta_stdout_is_pinned(capsys):
+    code, out = invoke(capsys, "beta", "--c", "-1", "--tower", "feigenbaum", "--depth", "1", "--level", "1")
+    z = [-0.6180339887498949, 0.0]
+    assert code == 0
+    assert out == _pinned({"beta": z, "candidates": [z, z], "matched": True, "residuals": [4.0810890421599745e-05] * 2})
+
+
+def test_telescope_stdout_is_pinned(capsys):
+    # recorded when the stages were emitted field by field
+    code, out = invoke(capsys, "telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5",
+                       "--delta", "0.01", "--times", "0,1,2,3,4,5")
+    stage = {"branch_ok": True, "margin": 0.22353840616713455, "margin_ok": True, "note": "",
+             "time_density_ok": True, "univalent_heuristic": True}
+    stages = [{**stage, "l": l, "n_l": l} for l in range(1, 6)]
+    assert code == 0
+    assert out == _pinned({"aborted_at": None, "pass": True, "stages": stages, "univalence_is_heuristic": True})
 
 
 def test_validate_reports_period_zero_level(capsys):

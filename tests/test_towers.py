@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
+from renormray.circle import HALF, Angle, Arc, LimitAngle, double, sigma_pow
 from renormray.towers import (
     ComponentAddress,
     RayPair,
@@ -30,11 +30,15 @@ from renormray.towers import (
 )
 
 from fraction_reference import (
+    _ref_check,
     _ref_in_shadow,
     _ref_omega_probe,
     _ref_orbit_chords,
     _ref_theta,
     _ref_verify_unlinked,
+    _ref_window_at,
+    _ref_window_endpoints,
+    _ref_subwindow,
     outcome as _outcome,
 )
 
@@ -207,6 +211,32 @@ def test_component_shadow_critical():
     assert len(shad.components.arcs) <= 4
     assert sum(a.length for a in shad.components.arcs) > 0
     assert shad.classification == "case2(0)"
+
+
+def _arcs(s):
+    return [(str(a.start), str(a.length)) for a in s]
+
+
+@pytest.mark.parametrize(
+    "n, components, windows",
+    [
+        (2, [("2/5", "1/1280"), ("527/1280", "1/1280"), ("47/80", "1/1280"), ("767/1280", "1/1280")],
+         [("2/5", "1/80"), ("47/80", "1/80")]),
+        (3, [("7/17", "3/1114112"), ("459517/1114112", "3/1114112"), ("2557/4352", "3/1114112"),
+             ("655357/1114112", "3/1114112")],
+         [("7/17", "3/4352"), ("2557/4352", "3/4352")]),
+        (4, [("106/257", "45/1103806595072"), ("455269482451/1103806595072", "45/1103806595072"),
+             ("9895891/16842752", "45/1103806595072"), ("648540061651/1103806595072", "45/1103806595072")],
+         [("106/257", "45/16842752"), ("9895891/16842752", "45/16842752")]),
+    ],
+)
+def test_component_shadow_window_intersection_is_pinned(n, components, windows):
+    # j_n = 1 at every level: p_n - j_n varies, so the window intersection is
+    # returned too; values recorded with the ArcSet-built sub-windows
+    shad = shadow_component(feigenbaum_tower(4), ComponentAddress.constant(1, n), n)
+    assert shad.classification == "undetermined/case1-so-far"
+    assert _arcs(shad.components) == components
+    assert _arcs(shad.window_intersection) == windows
 
 
 def test_component_address_compatibility():
@@ -403,78 +433,6 @@ def test_validate_report_is_pinned(levels, expected):
     assert validate(Tower(levels)).to_json() == expected
 
 
-# The Fraction derivation of a pair's windows and checks, kept as the
-# reference the integer derivation in renormray.towers must reproduce.
-
-
-def _ref_check(pair):
-    problems = []
-    if pair.period < 1:
-        problems.append(f"period {pair.period} < 1")
-        return problems
-    if not (Angle(0) < pair.lo < pair.hi):
-        problems.append(f"angles not ordered: 0 < {pair.lo} < {pair.hi} < 1 fails")
-    if sigma_pow(pair.lo, pair.period) != pair.lo:
-        problems.append(f"sigma^{pair.period}({pair.lo}) = {sigma_pow(pair.lo, pair.period)} != {pair.lo}")
-    if sigma_pow(pair.hi, pair.period) != pair.hi:
-        problems.append(f"sigma^{pair.period}({pair.hi}) = {sigma_pow(pair.hi, pair.period)} != {pair.hi}")
-    return problems
-
-
-def _ref_window_endpoints(pair, j):
-    if not 1 <= j <= pair.period:
-        raise ValueError(f"j must lie in 1..{pair.period}")
-    problems = _ref_check(pair)
-    if problems or pair.width >= HALF:
-        raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
-    delta = window_length(pair, 1)
-    lo1 = pair.lo + delta
-    hi1 = pair.hi - delta
-    if sigma_pow(lo1, pair.period) != pair.hi or sigma_pow(hi1, pair.period) != pair.lo:
-        raise ValueError("pair is not a valid renormalization pair: window endpoint check failed")
-    return tuple(sigma_pow(t, j - 1) for t in (pair.lo, lo1, hi1, pair.hi))
-
-
-def _ref_window_at(pair, j):
-    t_j, t1_j, tt1_j, tt_j = _ref_window_endpoints(pair, j)
-    delta = window_length(pair, j)
-    if not delta < HALF:
-        raise ValueError("inconsistent pair: window component length is not below 1/2")
-    if not (t1_j == t_j + delta and tt_j == tt1_j + delta):
-        raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
-    s = ArcSet([Arc(t_j, delta), Arc(tt1_j, delta)])
-    if len(s) != 2:
-        raise ValueError("window components are not disjoint")
-    return s
-
-
-def _ref_subwindow(pair, j):
-    p = pair.period
-    t_j, t1_j, tt1_j, tt_j = _ref_window_endpoints(pair, j)
-    delta = window_length(pair, j)
-    delta1 = delta / (1 << p)
-    labeled = {
-        "lo_outer": Arc(t_j, delta1),
-        "lo_inner": Arc(t1_j - delta1, delta1),
-        "hi_inner": Arc(tt1_j, delta1),
-        "hi_outer": Arc(tt_j - delta1, delta1),
-    }
-    windows = {"lo": Arc(t_j, delta), "hi": Arc(tt1_j, delta)}
-    onto = {"lo_outer": "lo", "lo_inner": "hi", "hi_inner": "lo", "hi_outer": "hi"}
-    for label, arc in labeled.items():
-        target = windows[onto[label]]
-        if sigma_pow(arc.start, p) != target.start or sigma_pow(arc.end, p) != target.end:
-            raise ValueError("inconsistent pair: sub-window endpoint check failed")
-    for arc in labeled.values():
-        host = windows["lo"] if windows["lo"].contains(arc.start) else windows["hi"]
-        if not (host.contains(arc.start) and host.contains(arc.end)):
-            raise ValueError("inconsistent pair: sub-window leaves its window")
-    arcs = ArcSet(labeled.values())
-    if len(arcs) != 4:
-        raise ValueError("inconsistent pair: expected four sub-window components")
-    return arcs, labeled
-
-
 def _ref_validate(comb):
     entries = []
 
@@ -644,10 +602,11 @@ def test_window_algebra_check_fails_on_a_wrong_delta(monkeypatch):
 
 
 def test_shadow_consistency_check_reports_in_shadow_error(monkeypatch):
-    # a full-circle s_{n,1} admits every orbit, so the two criteria disagree
+    # a full-circle s_{n,1} (one span of length 1 over 1) admits every orbit,
+    # so the two criteria disagree
     from renormray import selftest, towers
 
-    monkeypatch.setattr(towers, "window_at", lambda pair, j: ArcSet([Arc(Angle(0), Fraction(1))]))
+    monkeypatch.setattr(towers, "_window_at", lambda pair, j: (1, 1, (0,), 1))
     check = selftest.check_shadow_consistency()
     assert not check.passed and "shadow criteria disagree" in check.detail
 
@@ -660,19 +619,31 @@ def test_validate_is_pinned_on_deep_feigenbaum(depth, digest):
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
+def test_semiconjugacy_check_fails_on_a_complemented_theta(monkeypatch):
+    # 1 - theta satisfies theta(sigma^p t) = 2 theta(t) as well; theta(t) = s
+    # for t = sigma^(p-1)(tune(pair, s)) tells the two apart
+    from renormray import selftest
+
+    def complemented(comb, n, t):
+        res = theta(comb, n, t)
+        return ThetaResult(Angle(1 - res.value.frac), res.boundary_collapse)
+
+    monkeypatch.setattr(selftest, "theta", complemented)
+    check = selftest.check_semiconjugacy()
+    assert not check.passed and "theta" in check.detail
+
+
 def test_theta_rejects_swapped_inner_labels(monkeypatch):
     # lo_inner and hi_inner swapped: theta(4/5) would read 0 (true value 1/3)
     from renormray import towers
 
-    real = towers.subwindow
+    real = towers._subwindow
 
     def swapped(pair, j):
-        sub = real(pair, j)
-        labeled = dict(sub.labeled)
-        labeled["lo_inner"], labeled["hi_inner"] = labeled["hi_inner"], labeled["lo_inner"]
-        return Subwindow(labeled, sub.arcs)
+        den, E, (lo_outer, lo_inner, hi_inner, hi_outer), d1 = real(pair, j)
+        return den, E, (lo_outer, hi_inner, lo_inner, hi_outer), d1
 
-    monkeypatch.setattr(towers, "subwindow", swapped)
+    monkeypatch.setattr(towers, "_subwindow", swapped)
     for t in (Angle(4, 5), Angle(1, 5)):
         with pytest.raises(ValueError, match="disagrees with the component"):
             theta(feigenbaum_tower(2), 1, t)
@@ -718,7 +689,7 @@ def test_shadow_and_theta_match_fraction_reference(tower, depth):
     assert inside > 100
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
 def test_shadow_and_theta_match_fraction_reference_on_single_pairs(p):
     # every pair (k/(2^p - 1), l/(2^p - 1)), valid or not, on the grid a/(2(2^p - 1))
     m = (1 << p) - 1
