@@ -18,6 +18,8 @@ HALF = Fraction(1, 2)
 def _as_fraction(value, den=None) -> Fraction:
     if den is not None:
         return Fraction(value, den)
+    if type(value) is Fraction:  # immutable, so it is kept as it is
+        return value
     if isinstance(value, Angle):
         return value.frac
     return Fraction(value)
@@ -91,6 +93,32 @@ def _over_lcm(fracs) -> tuple[int, list[int]]:
     for d in scale:
         scale[d] = L // d
     return L, [f.numerator * scale[f.denominator] for f in fracs]
+
+
+def _coprime(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, built without the gcd that Fraction() runs.
+
+    It sets the two slots as Python 3.12's Fraction._from_coprime_ints does;
+    the caller proves the pair coprime.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
+
+
+def _over(x: int, den: int, e: int, g: int | None = None) -> Fraction:
+    """x / (den 2^e) as a reduced Fraction.
+
+    The common power of two is shifted out first; what is left of x is then
+    odd or over den alone, so gcd(x, den) is the rest of the common factor.
+    A caller that knows that factor passes it as g, and no gcd runs.
+    """
+    v = min(e, (x & -x).bit_length() - 1) if x else e
+    x >>= v
+    if g is None:
+        g = math.gcd(x, den)
+    return _coprime(x // g, (den // g) << (e - v))
 
 
 def double(t: Angle) -> Angle:
@@ -269,6 +297,17 @@ class ArcSet:
 
     def __init__(self, arcs: Iterable[Arc] = ()):
         object.__setattr__(self, "arcs", self._canonicalize(arcs))
+
+    @classmethod
+    def _canonical(cls, arcs: tuple[Arc, ...]) -> "ArcSet":
+        """The ArcSet of arcs already in canonical form, without _canonicalize.
+
+        The caller proves them of positive length, sorted by start, and
+        pairwise neither meeting nor touching.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "arcs", arcs)
+        return s
 
     def __setattr__(self, *a):
         raise AttributeError("ArcSet is immutable")

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, _over_lcm
+from .circle import Angle, _over, _over_lcm
 
 _STROKE_WIDTH = 0.004  # SVG stroke width of the circle and of every chord
 
@@ -46,15 +46,17 @@ def _linked(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return (a < c2[0] < b) != (a < c2[1] < b)
 
 
-def _orbit_ints(pair, N: int):
+def _orbit_ints(pair, N: int, factors: dict | None = None):
     """The distinct chords of orbit_chords() as sorted numerator pairs (x, y) over N.
 
     N is a multiple of both angle denominators (in a tower, the lcm of the
     level denominators), so sigma is x -> 2x mod N and the walk builds no
-    Fraction.
+    Fraction.  Given a dict, factors[x] is set to N // d for each endpoint x
+    of an angle of reduced denominator d: gcd(x, N) when N is odd, since
+    doubling mod an odd N keeps it.
     """
-    a = pair.lo.numerator * (N // pair.lo.denominator)
-    b = pair.hi.numerator * (N // pair.hi.denominator)
+    ga, gb = N // pair.lo.denominator, N // pair.hi.denominator
+    a, b = pair.lo.numerator * ga, pair.hi.numerator * gb
     seen = set()
     for _ in range(pair.period):
         if a == b:
@@ -62,18 +64,25 @@ def _orbit_ints(pair, N: int):
         c = (a, b) if a < b else (b, a)
         if c not in seen:
             seen.add(c)
+            if factors is not None:
+                factors[a], factors[b] = ga, gb
             yield c
         a, b = (a << 1) % N, (b << 1) % N
 
 
-def _chord(c: tuple[int, int], N: int) -> Chord:
-    return Chord(Angle(c[0], N), Angle(c[1], N))
+def _chord(c: tuple[int, int], N: int, e: int = 0, factors: dict | None = None) -> Chord:
+    """The Chord of sorted numerators over N 2^e; with factors[x] = gcd(x, N) for an odd N, no gcd runs."""
+    if factors is None:
+        return Chord(Angle(c[0], N << e), Angle(c[1], N << e))
+    x, y = c
+    return Chord(Angle(_over(x, N, e, factors[x])), Angle(_over(y, N, e, factors[y])))
 
 
 def orbit_chords(pair) -> list[Chord]:
     """Distinct chords {sigma^k(lo), sigma^k(hi)}, k = 0..period-1."""
     N = math.lcm(pair.lo.denominator, pair.hi.denominator)
-    return [_chord(c, N) for c in _orbit_ints(pair, N)]
+    factors = {} if N & 1 else None
+    return [_chord(c, N, 0, factors) for c in _orbit_ints(pair, N, factors)]
 
 
 def _crosses(ends: list, partners: list, chord: tuple[int, int]) -> bool:
@@ -96,6 +105,8 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     family built so far.  Endpoints are numerators over M = N 2^preimage_depth,
     N the lcm of the level denominators: a level endpoint is even until the
     last generation, and the preimages of x are x >> 1 and (x >> 1) + M/2.
+    When N is odd, doubling and the preimage step (2y = x mod N) keep each
+    endpoint's gcd with N, so the Chords are built without a gcd.
     """
     if depth > len(comb.levels):
         raise ValueError("depth exceeds tower size")
@@ -103,6 +114,7 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     N = math.lcm(*(t.denominator for pair in levels for t in (pair.lo, pair.hi)))
     M = N << preimage_depth
     half = M >> 1
+    level_factors = {} if N & 1 else None
     family: dict[tuple[int, int], None] = {}  # insertion-ordered set
     ends, partners = [], []  # sorted endpoints of family, each with its chord's other endpoint
 
@@ -114,10 +126,12 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
             partners.insert(k, y)
 
     for pair in levels:
-        for x, y in _orbit_ints(pair, N):
+        for x, y in _orbit_ints(pair, N, level_factors):
             c = (x << preimage_depth, y << preimage_depth)
             if c not in family:
                 add(c)
+    # gcd(x, N) of each endpoint x over M
+    factors = None if level_factors is None else {x << preimage_depth: g for x, g in level_factors.items()}
     frontier = list(family)
     for _ in range(preimage_depth):
         new_frontier = []
@@ -132,12 +146,15 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
                     break
             if placed is None:
                 raise ValueError(f"no unlinked preimage placement for {_chord((a, b), M)}")
+            if factors is not None:
+                factors[a0] = factors[a1] = factors[a]
+                factors[b0] = factors[b1] = factors[b]
             for c in placed:
                 if c not in family:
                     add(c)
                     new_frontier.append(c)
         frontier = new_frontier
-    return tuple(_chord(c, M) for c in sorted(family))
+    return tuple(_chord(c, N, preimage_depth, factors) for c in sorted(family))
 
 
 def _nested(pairs) -> bool:

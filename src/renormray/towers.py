@@ -21,6 +21,7 @@ from .circle import (
     Arc,
     ArcSet,
     LimitAngle,
+    _over,
     angle_from_words,
     binary_words,
     sigma_pow,
@@ -84,12 +85,6 @@ def _valid(pair: RayPair) -> tuple[int, int, int, int]:
     if problems or not 2 * (ints[1] - ints[0]) < ints[2]:
         raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
     return ints
-
-
-def _over(x: int, den: int, e: int) -> Fraction:
-    """x / (den 2^e), with the common power of two shifted out before Fraction reduces the rest."""
-    v = min(e, (x & -x).bit_length() - 1) if x else e
-    return Fraction(x >> v, den << (e - v))
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,10 @@ def window_endpoints(pair: RayPair, j: int) -> tuple[Angle, Angle, Angle, Angle]
     map t' to t~ and t~' to t exactly.
     """
     den, _, ends, _ = _window(pair, j)
-    return tuple(Angle(_over(x, den, pair.period)) for x in ends)
+    # with 2^p = 1 mod den, t and t~' are 2^(j-1) a and t' and t~ are 2^(j-1) b
+    # mod den, so they share gcd(a, den) and gcd(b, den) with den
+    g_lo, g_hi = den // pair.lo.denominator, den // pair.hi.denominator
+    return tuple(Angle(_over(x, den, pair.period, g)) for x, g in zip(ends, (g_lo, g_hi, g_lo, g_hi)))
 
 
 def _window(pair: RayPair, j: int) -> tuple[int, int, list[int], int]:
@@ -212,14 +210,17 @@ def window_length(pair: RayPair, j: int) -> Fraction:
 def window_at(pair: RayPair, j: int) -> ArcSet:
     """s_{n,j} = sigma^(j-1)(s_{n,1}): two arcs of length Delta_{n,j} < 1/2."""
     p = pair.period
-    den, _, starts, dj = _window_at(pair, j)
+    den, _, starts, dj = _window_at(_window(pair, j))
     delta = _over(dj, den, p)
-    return ArcSet([Arc(Angle(_over(x, den, p)), delta) for x in starts])
+    # both starts are 2^(j-1) a mod den (window_endpoints); _window_at has
+    # shown the two arcs apart, so sorted by start they are canonical
+    g = den // pair.lo.denominator
+    return ArcSet._canonical(tuple(Arc(Angle(_over(x, den, p, g)), delta) for x in sorted(starts)))
 
 
-def _window_at(pair: RayPair, j: int) -> tuple[int, int, tuple[int, int], int]:
-    """window_at() as integers: (den, D, the starts of the t and t~' components over D, dj)."""
-    den, D, (t, t1, tt1, tt), dj = _window(pair, j)
+def _window_at(win) -> tuple[int, int, tuple[int, int], int]:
+    """window_at() as integers from _window(pair, j): (den, D, the starts of the t and t~' components over D, dj)."""
+    den, D, (t, t1, tt1, tt), dj = win
     if not 2 * dj < D:
         raise ValueError("inconsistent pair: window component length is not below 1/2")
     # sigma^(j-1) is injective on each component, so images are plain arcs
@@ -256,18 +257,20 @@ def subwindow(pair: RayPair, j: int) -> Subwindow:
     sigma^p maps each arc homeomorphically onto one window of s_{n,j}; the
     endpoint images are checked exactly.
     """
-    p2 = 2 * pair.period
-    den, _, starts, dj = _subwindow(pair, j)
-    delta1 = _over(dj, den, p2)
-    labels = ("lo_outer", "lo_inner", "hi_inner", "hi_outer")
-    labeled = {label: Arc(Angle(_over(x, den, p2)), delta1) for label, x in zip(labels, starts)}
-    return Subwindow(labeled, ArcSet(labeled.values()))
-
-
-def _subwindow(pair: RayPair, j: int) -> tuple[int, int, tuple[int, int, int, int], int]:
-    """subwindow() as integers: (den, E = den 2^(2p), the four starts over E in label order, their length)."""
     p = pair.period
-    den, D, (t, t1, tt1, tt), dj = _window(pair, j)
+    den, _, starts, dj = _subwindow(_window(pair, j), p)
+    delta1 = _over(dj, den, 2 * p)
+    # every start is 2^(j-1) a mod den, as the window starts are
+    g = den // pair.lo.denominator
+    labels = ("lo_outer", "lo_inner", "hi_inner", "hi_outer")
+    labeled = {label: Arc(Angle(_over(x, den, 2 * p, g)), delta1) for label, x in zip(labels, starts)}
+    arcs = tuple(labeled[label] for _, label in sorted(zip(starts, labels)))
+    return Subwindow(labeled, ArcSet._canonical(arcs))
+
+
+def _subwindow(win, p: int) -> tuple[int, int, tuple[int, int, int, int], int]:
+    """subwindow() as integers from _window(pair, j): (den, E = den 2^(2p), the four starts over E in label order, their length)."""
+    den, D, (t, t1, tt1, tt), dj = win
     # over E = D 2^p the sub-window arcs have length dj and the windows dj 2^p;
     # sigma^p(x/E) = x/D mod 1
     E, host_len = D << p, dj << p
@@ -300,12 +303,13 @@ def in_shadow(t: Angle, comb: Tower, n: int, j: int) -> bool:
     """
     pair = comb.level(n)
     p = pair.period
-    _, E, starts, d1 = _subwindow(pair, j)
+    win = _window(pair, j)
+    _, E, starts, d1 = _subwindow(win, p)
     L = math.lcm(E, t.denominator)
     u = t.numerator * (L // t.denominator)
     result = _itinerary(u, L, p, _spans(starts, d1, E, L)) is not None
     if j == 1:
-        _, D, ends, dj = _window_at(pair, 1)
+        _, D, ends, dj = _window_at(win)
         if (_itinerary(u, L, p, _spans(ends, dj, D, L)) is not None) != result:
             raise ValueError("s_{n,1} and s^1_{n,1} shadow criteria disagree")
     return result
@@ -454,9 +458,10 @@ def theta(comb: Tower, n: int, t: Angle) -> ThetaResult:
     """
     pair = comb.level(n)
     p = pair.period
-    _, E, starts, d1 = _subwindow(pair, p)
+    win = _window(pair, p)
+    _, E, starts, d1 = _subwindow(win, p)
     # the components of s_{n,p}: S_{n,0}, the one starting at sigma^(p-1)(lo), first
-    _, D, ends, dj = _window_at(pair, p)
+    _, D, ends, dj = _window_at(win)
     L = math.lcm(E, t.denominator)
     # spans 0 and 1 (lo_outer, lo_inner) read eps = 0, spans 2 and 3 eps = 1
     spans = _spans(starts, d1, E, L)

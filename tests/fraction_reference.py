@@ -177,6 +177,22 @@ def _ref_subwindow(pair, j):
     return arcs, labeled
 
 
+def _ref_kc_refiners(comb):
+    """shadow_Kc's (left, right) refiners in Fractions: the level-m window components [lo, lo + Delta] and [hi - Delta, hi]."""
+
+    def delta(m):
+        pair = comb.level(m)
+        return pair.width / (1 << pair.period)
+
+    def left(m):
+        return comb.level(m).lo.frac, delta(m)
+
+    def right(m):
+        return (comb.level(m).hi.frac - delta(m)) % 1, delta(m)
+
+    return left, right
+
+
 def _ref_itinerary(t, p, arcs):
     index = {}
     held = []

@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,9 @@ from renormray.circle import (
     Arc,
     ArcSet,
     LimitAngle,
+    _coprime,
     _meet,
+    _over,
     angle_from_words,
     binary_words,
     double,
@@ -16,7 +21,7 @@ from renormray.circle import (
     preimages,
     sigma_pow,
 )
-from renormray.towers import feigenbaum_tower, rabbit_tower, subwindow, window_at
+from renormray.towers import RayPair, feigenbaum_tower, rabbit_tower, subwindow, window_at, window_endpoints
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
@@ -335,3 +340,49 @@ def test_prefix_bits_matches_fraction_formula(start, nbits, length_num, cell, st
         start = Fraction(cell - 2048, 1 << nbits) - length / 2
     lim = LimitAngle(lambda depth: (start, length), max_depth=1)
     assert lim.prefix_bits(nbits) == _ref_prefix_bits(start, length, nbits)
+
+
+def _window_fractions(pair):
+    # every endpoint, start and length that window_endpoints, window_at and
+    # subwindow return at j = 1..p
+    out = []
+    for j in range(1, pair.period + 1):
+        out += [t.frac for t in window_endpoints(pair, j)]
+        for arc in [*window_at(pair, j), *subwindow(pair, j).arcs]:
+            out += [arc.start.frac, arc.length]
+    return out
+
+
+def test_coprime_fractions_behave_like_fraction():
+    # _coprime sets Fraction's slots directly; _over reduces by a known or a
+    # den-only gcd.  Each result must be Fraction(num, den) of its parts in
+    # value, hash, order, text, pickling and arithmetic.  The window values
+    # of pairs whose lo and hi have different reduced denominators are
+    # reduced by a common factor other than 1.
+    big = (1 << 200) + 1, 3**150
+    got = [_coprime(n, d) for n, d in ((0, 1), (1, 1), (7, 1), (1, 2), (-3, 4), (5, 7), big, (-big[1], big[0]))]
+    for x in (0, 1, 6, 12, -40, 3**40 << 5, -(5**30) << 70):
+        for den in (1, 3, 15, 12, 2**64 * 3, 3**50):
+            for e in (0, 1, 4, 70):
+                got.append(_over(x, den, e))
+                ref = Fraction(x, den << e)
+                assert (got[-1].numerator, got[-1].denominator) == (ref.numerator, ref.denominator)
+                if den % 2:
+                    got.append(_over(x, den, e, math.gcd(x, den)))
+    for pair in (RayPair(4, Angle(1, 5), Angle(4, 15)), RayPair(4, Angle(1, 3), Angle(2, 5)), RayPair(6, Angle(1, 63), Angle(2, 9))):
+        got += _window_fractions(pair)
+    want = [Fraction(f.numerator, f.denominator) for f in got]
+    for f, w in zip(got, want):
+        assert type(f) is Fraction
+        assert (f.numerator, f.denominator) == (w.numerator, w.denominator)
+        assert f == w and w == f and hash(f) == hash(w)
+        assert (str(f), repr(f), float(f)) == (str(w), repr(w), float(w))
+        for back in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert type(back) is Fraction and (back.numerator, back.denominator) == (w.numerator, w.denominator)
+        assert (f + 1, f * 2, -f, f % 1, f / 3) == (w + 1, w * 2, -w, w % 1, w / 3)
+        if w.denominator == 1:
+            assert f == w.numerator and hash(f) == hash(w.numerator)
+    assert len({*got}) == len({*want})
+    order = sorted(range(len(got)), key=want.__getitem__)
+    assert sorted(range(len(got)), key=got.__getitem__) == order
+    assert all(got[i] <= got[k] and not got[k] < got[i] for i, k in zip(order, order[1:]))

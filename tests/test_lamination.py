@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from renormray.circle import Angle
+from renormray import lamination
 from renormray.lamination import Chord, build, export_svg, linked, orbit_chords, verify_unlinked
 from renormray.towers import RayPair, Tower, feigenbaum_tower, rabbit_tower, validate
 
@@ -157,6 +158,30 @@ def test_orbit_chords_match_fraction_reference():
     ]
     for pair in pairs:
         assert outcome(orbit_chords, pair) == outcome(_ref_orbit_chords, pair)
+
+
+def _endpoint_parts(derive, *args):
+    """Every chord endpoint of derive(*args) as (numerator, denominator)."""
+    return [(t.numerator, t.denominator) for c in derive(*args) for t in (c.a, c.b)]
+
+
+def test_chord_endpoints_equal_gcd_reduced_angles(monkeypatch):
+    # build and orbit_chords reduce each endpoint by its gcd with an odd N,
+    # read off the level angles; with lamination._over running the full gcd
+    # they build Angle(x, M).  The hand-built towers have lo and hi over
+    # different reduced denominators (N odd) or an even denominator.
+    combs = [feigenbaum_tower(d) for d in range(1, 9)] + [rabbit_tower(d) for d in range(1, 5)]
+    combs += [
+        Tower((RayPair(4, Angle(1, 5), Angle(4, 15)),)),
+        Tower((RayPair(4, Angle(1, 3), Angle(2, 5)),)),
+        Tower((RayPair(6, Angle(1, 63), Angle(16, 21)),)),
+        Tower((RayPair(2, Angle(1, 3), Angle(2, 3)), RayPair(2, Angle(1, 6), Angle(1, 3)))),
+    ]
+    cases = [(build, comb, comb.depth, pre) for comb in combs for pre in range(5)]
+    cases += [(orbit_chords, pair) for comb in combs for pair in comb.levels]
+    got = [_endpoint_parts(*case) for case in cases]
+    monkeypatch.setattr(lamination, "_over", lambda x, den, e, g=None: Fraction(x, den << e))
+    assert got == [_endpoint_parts(*case) for case in cases]
 
 
 BUILD_CASES = [("F4", pre) for pre in range(6)] + [("R3", pre) for pre in range(3)] + [("F6", pre) for pre in range(2)]

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormray.circle import HALF, Angle, Arc, LimitAngle, double, sigma_pow
+from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
 from renormray.towers import (
     ComponentAddress,
     RayPair,
     Tower,
     feigenbaum_tower,
     in_shadow,
+    KcShadow,
     omega_probe,
     pair_words,
     rabbit_tower,
@@ -32,6 +33,7 @@ from renormray.towers import (
 from fraction_reference import (
     _ref_check,
     _ref_in_shadow,
+    _ref_kc_refiners,
     _ref_omega_probe,
     _ref_orbit_chords,
     _ref_theta,
@@ -552,6 +554,90 @@ def test_validate_matches_fraction_reference_on_broken_towers():
             assert _outcome(window_at, pair, j) == _outcome(_ref_window_at, pair, j)
 
 
+def _parts(value):
+    """Every Fraction in a window value as (numerator, denominator), so that an unreduced one shows."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, Angle):
+        return _parts(value.frac)
+    if isinstance(value, Arc):
+        return _parts(value.start), _parts(value.length)
+    if isinstance(value, Subwindow):
+        return _parts((value.arcs, value.labeled))
+    if isinstance(value, (ArcSet, tuple)):
+        return tuple(_parts(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _parts(v) for k, v in value.items()}
+    return value
+
+
+def _exact_period_pairs(max_p):
+    # every pair k/(2^p - 1) < l/(2^p - 1), p <= max_p, that passes
+    # RayPair.check and has width < 1/2
+    for p in range(2, max_p + 1):
+        m = (1 << p) - 1
+        for k in range(1, m):
+            for l in range(k + 1, m):
+                pair = RayPair(p, Angle(k, m), Angle(l, m))
+                if not pair.check() and pair.width < HALF:
+                    yield pair
+
+
+def test_window_fractions_match_fraction_reference_by_parts():
+    # window and sub-window starts share gcd(a, den) with den and t', t~
+    # share gcd(b, den); these differ from 1 only where lo and hi have
+    # different reduced denominators
+    mixed = 0
+    for pair in _exact_period_pairs(6):
+        mixed += pair.lo.denominator != pair.hi.denominator
+        for j in sorted({1, 2, pair.period}):
+            for derive, ref in (
+                (window_endpoints, _ref_window_endpoints),
+                (window_at, _ref_window_at),
+                (subwindow, _ref_subwindow),
+            ):
+                assert _parts(_outcome(derive, pair, j)) == _parts(_outcome(ref, pair, j)), (pair, j, derive)
+    assert mixed == 934
+
+
+def _kc_towers():
+    # a lower level with even denominators, swapped, moved off its period
+    # (denominator 3 * 2^40) or of the wrong period, under a valid top level
+    # whose lo and hi have different reduced denominators (1/5 and 4/15), or
+    # under F2's level 2; and an invalid top level
+    mixed, f2 = RayPair(4, Angle(1, 5), Angle(4, 15)), feigenbaum_tower(2).level(2)
+    for low in (
+        RayPair(2, Angle(1, 4), Angle(3, 4)),
+        RayPair(2, Angle(2, 3), Angle(1, 3)),
+        RayPair(2, Angle(1, 3), Angle(2, 3) + Fraction(1, 1 << 40)),
+        RayPair(3, Angle(1, 3), Angle(2, 3)),
+    ):
+        for top in (mixed, f2):
+            yield Tower((low, top))
+    yield Tower((feigenbaum_tower(1).level(1), RayPair(4, Angle(1, 4), Angle(3, 8))))
+
+
+def test_kc_shadow_with_invalid_lower_level_matches_fraction_reference():
+    # the refiners read levels that no call validates, so they reduce by a gcd
+    refined = 0
+    for comb in _kc_towers():
+        left, right = _ref_kc_refiners(comb)
+        for depth in range(1, comb.depth + 1):
+            shad = _outcome(shadow_Kc, comb, depth)
+            if not isinstance(shad, KcShadow):
+                continue
+            refined += 1
+            assert _parts(shad.s) == _parts(_ref_window_at(comb.level(depth), 1))
+            for got, ref in ((shad.tau1, left), (shad.tau2, right)):
+                assert [_parts(got.refiner(m)) for m in range(1, comb.depth + 1)] == [
+                    _parts(ref(m)) for m in range(1, comb.depth + 1)
+                ]
+                for bits in (1, 3, 5, 8):
+                    want = _outcome(LimitAngle(ref, comb.depth).refine, bits)
+                    assert _parts(_outcome(got.refine, bits)) == _parts(want)
+    assert refined >= 6
+
+
 def _hex(q):
     # hex digits are not subject to the 4300-digit limit on decimal str(int)
     return f"{q.numerator:x}/{q.denominator:x}"
@@ -606,7 +692,7 @@ def test_shadow_consistency_check_reports_in_shadow_error(monkeypatch):
     # so the two criteria disagree
     from renormray import selftest, towers
 
-    monkeypatch.setattr(towers, "_window_at", lambda pair, j: (1, 1, (0,), 1))
+    monkeypatch.setattr(towers, "_window_at", lambda win: (1, 1, (0,), 1))
     check = selftest.check_shadow_consistency()
     assert not check.passed and "shadow criteria disagree" in check.detail
 
@@ -639,8 +725,8 @@ def test_theta_rejects_swapped_inner_labels(monkeypatch):
 
     real = towers._subwindow
 
-    def swapped(pair, j):
-        den, E, (lo_outer, lo_inner, hi_inner, hi_outer), d1 = real(pair, j)
+    def swapped(win, p):
+        den, E, (lo_outer, lo_inner, hi_inner, hi_outer), d1 = real(win, p)
         return den, E, (lo_outer, hi_inner, lo_inner, hi_outer), d1
 
     monkeypatch.setattr(towers, "_subwindow", swapped)
