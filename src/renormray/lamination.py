@@ -219,8 +219,7 @@ def export_svg(family, circular_arcs: bool = False) -> str:
     ]
     for chord in sorted(family, key=lambda c: (c.a.frac, c.b.frac)):
         (x1, y1), (x2, y2) = _point(chord.a), _point(chord.b)
-        gap = (chord.b.frac - chord.a.frac) % 1
-        if circular_arcs and gap != Fraction(1, 2):
+        if circular_arcs and (gap := (chord.b.frac - chord.a.frac) % 1) != Fraction(1, 2):
             # hyperbolic geodesic: circular arc orthogonal to the unit circle
             r = abs(math.tan(math.pi * float(gap)))
             sweep = 1 if gap < Fraction(1, 2) else 0

@@ -9,7 +9,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .circle import Angle, sigma_pow
+from .circle import Angle
 
 _GREEN_MAX_ITER = 2048  # iteration cap of green()
 _GREEN_FAR = 1e18  # green() stops at once past this radius
@@ -21,6 +21,9 @@ _RAY_LANDING_TOL = 1e-9  # trace_ray tail spread below which a ray has landed
 _BETA_LEVEL_MIN = 1e-14  # level to which beta_point traces both rays
 _BETA_TOL = 1e-4  # beta_point root distance and agreement bound
 _TELESCOPE_BOUNDARY_SAMPLES = 48  # sample points on each telescope disk boundary
+_FEIGENBAUM_DELTA = 4.6692  # gap ratio that seeds the depth-2 Newton start
+_CASCADE_NEWTON_CAP = 60  # Newton steps allowed per depth of the cascade
+_CASCADE_CERT_HALF_WIDTH = 2.0**-40  # g_d must change sign across s_d +- this
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,15 @@ def _fn_and_derivative(z: complex, n: int, c: complex) -> tuple[complex, complex
     return w, d
 
 
+def _doubled(k: int, q: int, n: int) -> float:
+    """float(sigma_pow(Angle(k, q), n).frac) without building the Angle.
+
+    Both are the correctly rounded quotient of one integer division, and a
+    common factor of numerator and denominator does not change it.
+    """
+    return ((k << n) % q) / q
+
+
 def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
     """Trace the external ray of angle t by level-doubling Newton descent.
 
@@ -140,11 +152,12 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
     path.points.append(z)
     path.levels.append(level)
     ratio = 2.0 ** (-1.0 / _RAY_STEPS_PER_HALVING)
+    k, q = t.frac.numerator, t.frac.denominator
     while level > level_min:
         level *= ratio
         while level * (1 << n) < base:
             n += 1
-        theta = float(sigma_pow(t, n).frac)
+        theta = _doubled(k, q, n)
         w = cmath.exp(complex(level * (1 << n), 2 * math.pi * theta))
         ok = False
         for _ in range(60):
@@ -309,48 +322,54 @@ def beta_point(params: Params, comb, n: int) -> BetaResult:
     return BetaResult(near[0], matched, (near[0], near[1]), (res[0], res[1]))
 
 
-# Feigenbaum period-doubling accumulation point, used only to bracket
-# bisections for superstable parameters.
-_ACCUMULATION = -1.4011551890920505
-
-
 def feigenbaum_parameter(depth: int) -> float:
     """Superstable parameter s_depth of the period-doubling cascade.
 
-    Bisection on f_c^(2^depth)(0) = 0; depth 1 gives exactly -1 and the
-    sequence converges to about -1.401155189.
+    Newton continuation down the cascade (Briggs, Math. Comp. 57, 1991):
+    s_0 = 0 and s_1 = -1 exactly; s_2 starts from s_1 + (s_1 - s_0)/delta
+    and each later s_d from the Aitken extrapolation s_(d-1) + (s_(d-1) -
+    s_(d-2))^2 / (s_(d-2) - s_(d-3)) of the previous gaps.  Newton runs on
+    g_d(c) = f_c^(2^d)(0), with g_d' from x' <- 2 x x' + 1 in the same loop,
+    and stops once a step is within one ulp of c or is more than half the
+    step before it (the floating noise of g_d, not the root, then sets the
+    step).  The sequence converges to about -1.401155189.
+
+    The value returned is certified: every s_d is below s_(d-1), and g_depth
+    changes sign across s_depth +- 2^-40.  Anything else (no stop within
+    the step cap, a broken order, no sign change) raises ArithmeticError.
     """
     if not 1 <= depth <= 16:
         raise ValueError("depth must lie in 1..16")
-
-    def crit_orbit(c: float, n: int) -> float:
-        x = 0.0
-        for _ in range(n):
-            x = x * x + c
-        return x
-
-    s_prev = 0.0
-    s = None
-    for d in range(1, depth + 1):
+    s = [0.0, -1.0]
+    for d in range(2, depth + 1):
+        if d == 2:
+            c = s[1] + (s[1] - s[0]) / _FEIGENBAUM_DELTA
+        else:
+            c = s[-1] + (s[-1] - s[-2]) ** 2 / (s[-2] - s[-3])
         n = 1 << d
-        a = _ACCUMULATION - 1e-9
-        b = s_prev - 0.5 * (s_prev - a)
-        fa, fb = crit_orbit(a, n), crit_orbit(b, n)
-        if (fa > 0) == (fb > 0):
-            raise ArithmeticError(f"bisection bracket failed at depth {d}")
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = crit_orbit(mid, n)
-            if fm == 0.0 or b - a < 1e-15:
-                a = b = mid
+        last = math.inf
+        for _ in range(_CASCADE_NEWTON_CAP):
+            x = dx = 0.0
+            for _ in range(n):
+                x, dx = x * x + c, 2.0 * x * dx + 1.0
+            step = x / dx
+            c -= step
+            if abs(step) <= math.ulp(c) or abs(step) > 0.5 * last:
                 break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        s = 0.5 * (a + b)
-        s_prev = s
-    return s if depth > 1 else -1.0
+            last = abs(step)
+        else:  # no stop within the cap
+            c = math.nan
+        if not c < s[-1]:  # false for NaN too
+            raise ArithmeticError(f"superstable parameter at depth {d} not certified")
+        s.append(c)
+    c = s[depth]
+    a, b = c - _CASCADE_CERT_HALF_WIDTH, c + _CASCADE_CERT_HALF_WIDTH
+    lo = hi = 0.0
+    for _ in range(1 << depth):
+        lo, hi = lo * lo + a, hi * hi + b
+    if not lo * hi < 0.0:
+        raise ArithmeticError(f"superstable parameter at depth {depth} not certified")
+    return c
 
 
 @dataclass(frozen=True)

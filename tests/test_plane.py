@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from renormray import plane
-from renormray.circle import Angle
+from renormray.circle import Angle, sigma_pow
 from renormray.lamination import build, export_svg
 from renormray.plane import (
     Params,
@@ -128,6 +128,18 @@ def test_ray_commutes_with_dynamics():
             idx = min(range(len(p2.levels)), key=lambda i: abs(p2.levels[i] - 2 * l))
             if abs(p2.levels[idx] - 2 * l) < 1e-9:
                 assert abs((z * z + params.c) - p2.points[idx]) < 1e-6
+
+
+@pytest.mark.parametrize("q", [3, 7, 15, 2**20 - 1, 3 * 5**9, 6, 12, 3 * 2**10, 5 * 2**40, 2**64 - 2])
+def test_ray_doubled_angle_equals_sigma_pow_float(q):
+    # trace_ray's level-step angle from t's numerator and denominator is the
+    # float of the Angle that sigma_pow builds, for odd and even denominators,
+    # and an unreduced k/q gives the same float
+    for k in {1, q // 3, q // 2, q - 1, (q * 5) // 7}:
+        t = Angle(k, q)
+        for n in range(65):
+            want = float(sigma_pow(t, n).frac)
+            assert plane._doubled(t.frac.numerator, t.frac.denominator, n) == want == plane._doubled(k, q, n)
 
 
 def test_periodic_points_squaring():
@@ -301,6 +313,63 @@ def test_feigenbaum_depths():
     for _ in range(1 << 5):
         x = x * x + c
     assert abs(x) < 1e-10
+
+
+def _critical_value(c, depth):
+    """g_depth(c) = f_c^(2^depth)(0) in floats."""
+    x = 0.0
+    for _ in range(1 << depth):
+        x = x * x + c
+    return x
+
+
+def test_feigenbaum_cascade_certified():
+    s = [0.0] + [feigenbaum_parameter(d) for d in range(1, 17)]
+    for d in range(1, 17):
+        assert _critical_value(s[d] - 1e-12, d) * _critical_value(s[d] + 1e-12, d) < 0
+        assert s[d] < s[d - 1]
+    # the gaps shrink by Feigenbaum's delta = 4.6692016...
+    for d in range(6, 17):
+        assert (s[d - 1] - s[d - 2]) / (s[d] - s[d - 1]) == pytest.approx(4.6692016, abs=0.01)
+
+
+@pytest.mark.parametrize("depth", [0, 17])
+def test_feigenbaum_depth_out_of_range_raises(depth):
+    with pytest.raises(ValueError, match="1..16"):
+        feigenbaum_parameter(depth)
+
+
+@pytest.mark.parametrize("depth", range(2, 11))
+def test_feigenbaum_parameter_matches_mpmath_root(depth):
+    # the root of g_depth near s_depth, found by mpmath's secant method at 60
+    # digits, is within 64 ulps
+    mpmath = pytest.importorskip("mpmath")
+    s = feigenbaum_parameter(depth)
+    with mpmath.workdps(60):
+        def g(c):
+            x = mpmath.mpf(0)
+            for _ in range(1 << depth):
+                x = x * x + c
+            return x
+
+        root = mpmath.findroot(g, mpmath.mpf(s))
+        assert abs(root - s) <= 64 * math.ulp(s)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_CASCADE_NEWTON_CAP", 1),  # Newton does not stop in time
+    ("_FEIGENBAUM_DELTA", -4.6692),  # Newton from -0.79 finds s_1 again
+    ("_CASCADE_CERT_HALF_WIDTH", 0.0),  # no sign change
+])
+def test_feigenbaum_parameter_uncertified_raises(monkeypatch, name, value):
+    monkeypatch.setattr(plane, name, value)
+    with pytest.raises(ArithmeticError, match="not certified"):
+        feigenbaum_parameter(8)
+
+
+def test_feigenbaum_parameter_depth_8_is_pinned():
+    # criterion 10's frozen expansion minima move for a one-ulp shift of s_8
+    assert feigenbaum_parameter(8).hex() == "-0x1.66b1868e56590p+0"
 
 
 def test_expansion_chebyshev_fixed_point():
