@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable
 
 HALF = Fraction(1, 2)
@@ -74,13 +75,23 @@ class Angle:
         return hash(self.frac)
 
     def __repr__(self):
-        return f"Angle({self.frac})"
+        return f"Angle({self})"
 
     def __str__(self):
-        return f"{self.frac.numerator}/{self.frac.denominator}" if self.frac.denominator != 1 else str(self.frac.numerator)
+        return _text(self.frac.numerator, self.frac.denominator)
 
     def to_json(self) -> dict:
-        return {"num": str(self.frac.numerator), "den": str(self.frac.denominator)}
+        return {"num": _text(self.frac.numerator), "den": _text(self.frac.denominator)}
+
+
+def _text(num: int, den: int = 1) -> str:
+    """'num/den', or 'num' when den is 1, also past the interpreter's limit on int-to-str digits."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        from decimal import Decimal  # prints an integer of any length exactly
+
+        return _text(Decimal(num), Decimal(den))
 
 
 def _over_lcm(fracs) -> tuple[int, list[int]]:
@@ -227,63 +238,49 @@ class Arc:
     def to_json(self) -> dict:
         return {
             "start": self.start.to_json(),
-            "len": {"num": str(self.length.numerator), "den": str(self.length.denominator)},
+            "len": {"num": _text(self.length.numerator), "den": _text(self.length.denominator)},
         }
 
     def __repr__(self):
-        return f"Arc[{self.start}, {self.end}] (len {self.length})"
+        return f"Arc[{self.start}, {self.end}] (len {_text(self.length.numerator, self.length.denominator)})"
 
 
-def _offset(a: Arc, b: Arc) -> tuple[int, int]:
-    """The offset d = (b.start - a.start) mod 1 as an unreduced pair (n, q), 0 <= n < q."""
-    x, y = a.start.frac, b.start.frac
-    q = x.denominator
-    if y.denominator == q:
-        return (y.numerator - x.numerator) % q, q
-    q *= y.denominator
-    return (y.numerator * x.denominator - x.numerator * y.denominator) % q, q
+def _arc_spans(arcs) -> tuple[int, list[tuple[int, int, Arc]]]:
+    """(L, spans): each arc as (start, length, arc), numerators over L, the lcm of every start and length denominator."""
+    scale = {}
+    for a in arcs:
+        scale[a.start.frac.denominator] = scale[a.length.denominator] = None
+    L = math.lcm(*scale)
+    for d in scale:
+        scale[d] = L // d
+    return L, [(a.start.frac.numerator * scale[a.start.frac.denominator],
+                a.length.numerator * scale[a.length.denominator], a) for a in arcs]
 
 
-def _min_length(length: Fraction, num: int, den: int) -> Fraction:
-    """min(length, num/den), building a Fraction only when num/den is the smaller."""
-    return length if length.numerator * den <= num * length.denominator else Fraction(num, den)
+def _union(L: int, spans) -> tuple[Arc, ...]:
+    """The canonical arcs of the union of spans (start, length, arc) over L.
 
-
-def _meet(a: Arc, b: Arc) -> list[Arc]:
-    """The pieces of positive length shared by two arcs of positive length.
-
-    With d = n/q the offset of b's start from a's start, b starts inside a
-    when d < a.length, and b runs on across a's start when d + b.length > 1.
-    Both tests and the min of lengths cross-multiply integers.
+    Sorted by start, each span joins the last maximal one when it starts
+    within its reach (so touching spans join); then the last one runs across
+    0 over the leading ones within its reach, and an extent of L or more is
+    the full circle.  Each arc starts at the Angle of the arc its first span
+    came from; a Fraction is built only for a length that arc does not have.
     """
-    n, q = _offset(a, b)
-    an, ad = a.length.numerator, a.length.denominator
-    bn, bd = b.length.numerator, b.length.denominator
-    pieces = []
-    inside = an * q - n * ad  # (a.length - d) q ad
-    if inside > 0:
-        pieces.append(Arc(b.start, _min_length(b.length, inside, ad * q)))
-    over = n * bd + bn * q - q * bd  # (d + b.length - 1) q bd
-    if over > 0:
-        pieces.append(Arc(a.start, _min_length(a.length, over, q * bd)))
-    return pieces
-
-
-def _absorb(a: Arc, b: Arc) -> Arc | None:
-    """a extended over b when b starts within a's reach, else None.
-
-    The reach d + b.length is compared as integers; a Fraction is built only
-    when it extends a and stays below the full circle.
-    """
-    n, q = _offset(a, b)
-    an, ad = a.length.numerator, a.length.denominator
-    if n * ad > an * q:
-        return None
-    bd = b.length.denominator
-    rn, rq = n * bd + b.length.numerator * q, q * bd
-    if rn * ad <= an * rq:
-        return a
-    return Arc(a.start, Fraction(1) if rn >= rq else Fraction(rn, rq))
+    out: list[list] = []  # [start, end, arc] of each maximal span
+    for s, n, arc in sorted(spans, key=itemgetter(0)):
+        if out and s <= out[-1][1]:
+            if s + n > out[-1][1]:
+                out[-1][1] = s + n
+        elif n:
+            out.append([s, s + n, arc])
+    while len(out) > 1 and out[0][0] + L <= out[-1][1]:
+        out[-1][1] = max(out[-1][1], out.pop(0)[1] + L)
+    if out and out[-1][1] - out[-1][0] >= L:
+        return (Arc(Angle(0), Fraction(1)),)
+    return tuple(
+        arc if (e - s) * arc.length.denominator == arc.length.numerator * L else Arc(arc.start, Fraction(e - s, L))
+        for s, e, arc in out
+    )
 
 
 class ArcSet:
@@ -296,11 +293,11 @@ class ArcSet:
     __slots__ = ("arcs",)
 
     def __init__(self, arcs: Iterable[Arc] = ()):
-        object.__setattr__(self, "arcs", self._canonicalize(arcs))
+        object.__setattr__(self, "arcs", _union(*_arc_spans(tuple(arcs))))
 
     @classmethod
     def _canonical(cls, arcs: tuple[Arc, ...]) -> "ArcSet":
-        """The ArcSet of arcs already in canonical form, without _canonicalize.
+        """The ArcSet of arcs already in canonical form, without the merge ArcSet() runs.
 
         The caller proves them of positive length, sorted by start, and
         pairwise neither meeting nor touching.
@@ -312,30 +309,27 @@ class ArcSet:
     def __setattr__(self, *a):
         raise AttributeError("ArcSet is immutable")
 
-    @staticmethod
-    def _canonicalize(arcs: Iterable[Arc]) -> tuple[Arc, ...]:
-        """Maximal arcs sorted by start; a union covering the circle is Arc(0, 1)."""
-        out: list[Arc] = []
-        for arc in sorted((a for a in arcs if a.length > 0), key=lambda a: a.start.frac):
-            merged = _absorb(out[-1], arc) if out else None
-            if merged is None:
-                out.append(arc)
-            else:
-                out[-1] = merged
-        # the last arc may run across 0 over the leading ones
-        while len(out) > 1 and (merged := _absorb(out[-1], out[0])) is not None:
-            out[-1] = merged
-            out.pop(0)
-        if out and out[-1].is_full_circle:
-            return (Arc(Angle(0), Fraction(1)),)
-        return tuple(out)
-
     def contains(self, t: Angle) -> bool:
         return any(a.contains(t) for a in self.arcs)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        """Closed intersection; degenerate single-point overlaps are dropped."""
-        return ArcSet(piece for a in self.arcs for b in other.arcs for piece in _meet(a, b))
+        """Closed intersection; degenerate single-point overlaps are dropped.
+
+        Over L, with d = (t - s) mod L the offset of b's start t from a's
+        start s, b starts inside a when d < a's length, and b runs on across
+        a's start when d + b's length > L.
+        """
+        k = len(self.arcs)
+        L, spans = _arc_spans(self.arcs + other.arcs)
+        pieces = []
+        for s, la, a in spans[:k]:
+            for t, lb, b in spans[k:]:
+                d = (t - s) % L
+                if d < la:
+                    pieces.append((t, min(lb, la - d), b))
+                if d + lb > L:
+                    pieces.append((s, min(la, d + lb - L), a))
+        return ArcSet._canonical(_union(L, pieces))
 
     def is_subset_of(self, other: "ArcSet") -> bool:
         # canonical forms are unique and intersect drops only single points

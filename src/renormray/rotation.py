@@ -60,10 +60,10 @@ def minimal_rotation_set(nu) -> RotationSet:
     mod = (1 << q) - 1
     orbit = _cycle(int(sturmian_word(p, q), 2), mod)
     if len(orbit) != q:
-        raise AssertionError("Sturmian construction produced a degenerate orbit")
+        raise ArithmeticError("Sturmian construction produced a degenerate orbit")
     points = tuple(Angle(k, mod) for k in sorted(orbit))
     if rotation_number(points) != nu:
-        raise AssertionError("Sturmian construction failed the rotation-number check")
+        raise ArithmeticError("Sturmian construction failed the rotation-number check")
     return RotationSet(points, nu)
 
 
@@ -71,7 +71,7 @@ def minimal_rotation_set_bruteforce(nu) -> RotationSet:
     """Brute-force oracle: search all period-q orbits k/(2^q - 1) of doubling.
 
     Keeps the orbits on which doubling moves each sorted point p places, and
-    asserts there is exactly one.
+    checks that there is exactly one.
     """
     nu = _check_nu(nu)
     p, q = nu.numerator, nu.denominator
@@ -90,7 +90,7 @@ def minimal_rotation_set_bruteforce(nu) -> RotationSet:
         if all(2 * x % mod == orbit[(i + p) % q] for i, x in enumerate(orbit)):
             found.append(orbit)
     if len(found) != 1:
-        raise AssertionError(f"expected a unique minimal rotation set for {nu}, found {len(found)}")
+        raise ArithmeticError(f"expected a unique minimal rotation set for {nu}, found {len(found)}")
     return RotationSet(tuple(Angle(k, mod) for k in found[0]), nu)
 
 

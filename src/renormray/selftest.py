@@ -116,7 +116,7 @@ def semiconjugacy_samples(comb, n: int, count: int):
         if in_shadow(t, comb, n, pair.period):
             out.append((s, t))
     if len(out) < count:
-        raise RuntimeError("sample generator starved")
+        raise ArithmeticError("sample generator starved")
     return out
 
 

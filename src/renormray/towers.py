@@ -22,6 +22,7 @@ from .circle import (
     ArcSet,
     LimitAngle,
     _over,
+    _text,
     angle_from_words,
     binary_words,
     sigma_pow,
@@ -428,7 +429,7 @@ def shadow_component(comb: Tower, addr: ComponentAddress, depth: int) -> Compone
         s1 = subwindow(pair, jn).arcs
         inter = s1 if inter is None else inter.intersect(s1)
     if len(inter) > 4:
-        raise AssertionError("component shadow has more than four components")
+        raise ArithmeticError("component shadow has more than four components")
     if len(offsets) == 1:
         return ComponentShadow(inter, f"case2({offsets.pop()})", None)
     winter = None
@@ -571,7 +572,8 @@ def validate(comb: Tower) -> ValidationReport:
         pair_ok.append(ok)
         add("pair_periodic", n, ok, "; ".join(problems))
         if ok:
-            add("pair_width", n, pair.width < HALF, f"width {pair.width}")
+            width = pair.width
+            add("pair_width", n, width < HALF, f"width {_text(width.numerator, width.denominator)}")
     for n in range(1, comb.depth):
         a, b = comb.level(n), comb.level(n + 1)
         # a period <= 0 fails here rather than dividing by it

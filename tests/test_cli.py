@@ -164,6 +164,25 @@ def test_memory_error_is_exit_1_without_traceback(monkeypatch, tmp_path, capsys,
     assert not (tmp_path / "img.ppm").exists()
 
 
+@pytest.mark.parametrize(
+    "module, name, replacement, argv, line",
+    [
+        # a rotation set that fails its own rotation-number check
+        ("renormray.rotation", "rotation_number", lambda points: None, ["rotset", "--nu", "1/3"],
+         "error: Sturmian construction failed the rotation-number check\n"),
+        # a shadow test that rejects every sample of the semiconjugacy check
+        ("renormray.selftest", "in_shadow", lambda *a: False, ["selftest"], "error: sample generator starved\n"),
+    ],
+    ids=["rotset", "selftest"],
+)
+def test_failed_self_check_is_exit_1_without_traceback(monkeypatch, capsys, module, name, replacement, argv, line):
+    monkeypatch.setattr(importlib.import_module(module), name, replacement)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == line
+
+
 def _pinned(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

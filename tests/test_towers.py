@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from renormray.towers import (
     shadow_component,
     Subwindow,
     ThetaResult,
+    _apart,
     subwindow,
     theta,
     tune,
@@ -703,6 +705,60 @@ def test_validate_is_pinned_on_deep_feigenbaum(depth, digest):
     # Fraction walks, which take seconds here (F1..F10 run _ref_validate live)
     report = validate(feigenbaum_tower(depth)).to_json()
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+def _with_digit_limit(digits, fn):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_validate_texts_pass_the_int_str_digit_limit():
+    # F13's passing pair_width and nesting_S texts, a failing pair's witness,
+    # the tower's JSON and the reprs of its last pair and windows hold
+    # integers of more than 640 digits
+    comb = feigenbaum_tower(13)
+    last = comb.levels[-1]
+    swapped = Tower(comb.levels[:-1] + (RayPair(last.period, last.hi, last.lo),))
+
+    def texts():
+        reports = [json.dumps(validate(t).to_json(), sort_keys=True) for t in (comb, swapped)]
+        return reports + [json.dumps(comb.to_json()), repr(last), repr(window_at(last, 1).arcs)]
+
+    got = _with_digit_limit(640, texts)
+    assert got == _with_digit_limit(0, texts)
+    # the digest of F13's report, recorded with the limit lifted
+    assert hashlib.sha256(got[0].encode()).hexdigest()[:16] == "4005bb277b6c5379"
+    assert all(e["pass"] for e in json.loads(got[0]))
+    assert [(e["check"], e["level"]) for e in json.loads(got[1]) if not e["pass"]] == [("pair_periodic", 13)]
+
+
+@st.composite
+def equal_length_arcs(draw):
+    # starts over L, mostly one length plus a gap of -1 (meeting), 0
+    # (touching) or 1 (apart) from the last, and a first arc that may end
+    # exactly at 0 so that the next one touches it across 0
+    L = draw(st.one_of(st.integers(2, 64), st.integers((1 << 64) + 1, 1 << 200)))
+    length = draw(st.integers(1, max(1, L // 3)))
+    x = draw(st.one_of(st.just(L - length), st.integers(0, L - 1)))
+    starts = []
+    for gap in draw(st.lists(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, L)), max_size=5)):
+        starts.append(x % L)
+        x += length + gap
+    return L, length, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_length_arcs())
+def test_apart_counts_arcset_components(case):
+    # _apart stands in for len(ArcSet(arcs)) == len(arcs) on the window paths
+    L, length, starts = case
+    arcs = [Arc(Angle(x, L), Fraction(length, L)) for x in starts]
+    assert _apart(starts, length, L) == (len(ArcSet(arcs)) == len(arcs))
 
 
 def test_semiconjugacy_check_fails_on_a_complemented_theta(monkeypatch):
