@@ -45,8 +45,8 @@ class Angle:
         """Parse 'p/q' or 'p' into an angle."""
         if "/" in text:
             num, den = text.split("/", 1)
-            return cls(int(num), int(den))
-        return cls(int(text))
+            return cls(_int(num), _int(den))
+        return cls(_int(text))
 
     @property
     def numerator(self) -> int:
@@ -92,6 +92,26 @@ def _text(num: int, den: int = 1) -> str:
         from decimal import Decimal  # prints an integer of any length exactly
 
         return _text(Decimal(num), Decimal(den))
+
+
+def _int(text: str) -> int:
+    """int(text) for decimal text, also past the interpreter's limit on str-to-int digits.
+
+    int() rejects a well-formed integer literal only for that limit; decimal
+    reads such a literal exactly.  Any other text raises int()'s ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        import re
+
+        # int() also counts a malformed literal's leading digits against the
+        # limit, and decimal accepts more than integers, so check the form
+        if not re.fullmatch(r"[+-]?\d+(?:_\d+)*", text.strip()):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(text))
 
 
 def _over_lcm(fracs) -> tuple[int, list[int]]:
@@ -199,10 +219,10 @@ def angle_from_words(pre_bits: str, per_bits: str) -> Angle:
     """Angle with binary expansion 0.(pre_bits) followed by repeating per_bits."""
     if not per_bits:
         raise ValueError("periodic block must be non-empty")
-    a = len(pre_bits)
+    # (head + per/M)/2^len(pre) with M = 2^len(per) - 1, one reduction over M 2^len(pre)
     head = int(pre_bits, 2) if pre_bits else 0
-    tail = Fraction(int(per_bits, 2), 2 ** len(per_bits) - 1)
-    return Angle(Fraction(head + tail, 2**a))
+    M = (1 << len(per_bits)) - 1
+    return Angle(_over(head * M + int(per_bits, 2), M, len(pre_bits)))
 
 
 @dataclass(frozen=True)
@@ -355,49 +375,60 @@ class ArcSet:
 class LimitAngle:
     """An angle defined by nested shrinking arcs.
 
-    ``refiner(depth)`` returns (start, length) of a closed arc containing the
-    limit; arcs are nested and their lengths shrink to 0 within the declared
-    depth budget.  Exceeding the budget is an error, never silent truncation.
+    ``refiner(depth)`` returns integers (s, l, den, e) with den >= 1: the
+    closed arc from s/(den 2^e) over the length l/(den 2^e) contains the
+    limit.  Start and length share that one denominator, which need not be
+    reduced, so a refiner builds no Fraction and runs no gcd.  The arcs are
+    nested and their lengths shrink to 0 within the declared depth budget.
+    Exceeding the budget is an error, never silent truncation.
     """
 
-    refiner: Callable[[int], tuple[Fraction, Fraction]]
+    refiner: Callable[[int], tuple[int, int, int, int]]
     max_depth: int
 
     @classmethod
     def from_angle(cls, t: Angle) -> "LimitAngle":
-        return cls(lambda depth: (t.frac, Fraction(0)), max_depth=1)
+        num, den = t.frac.numerator, t.frac.denominator
+        return cls(lambda depth: (num, 0, den, 0), max_depth=1)
 
-    def _arc_for_bits(self, nbits: int) -> tuple[Fraction, Fraction]:
-        target = Fraction(1, 1 << (nbits + 2))
-        prev_len = None
+    def _arc_for_bits(self, nbits: int) -> tuple[int, int, int, int]:
+        prev = None
         for depth in range(1, self.max_depth + 1):
-            start, length = self.refiner(depth)
-            if prev_len is not None and length > prev_len:
-                raise ValueError("refiner arcs are not shrinking")
-            prev_len = length
-            if length <= target:
-                return start, length
+            arc = self.refiner(depth)
+            _, l, den, e = arc
+            if prev is not None:
+                # l/(den 2^e) > pl/(pden 2^pe), both sides times 2^-min(e, pe)
+                _, pl, pden, pe = prev
+                m = min(e, pe)
+                if (l * pden) << (pe - m) > (pl * den) << (e - m):
+                    raise ValueError("refiner arcs are not shrinking")
+            prev = arc
+            # l/(den 2^e) <= 2^-(nbits+2), both sides times 2^-min(e, nbits + 2)
+            m = min(e, nbits + 2)
+            if l << (nbits + 2 - m) <= den << (e - m):
+                return arc
         raise ValueError(f"insufficient depth: {nbits} bits need more than {self.max_depth} refinements")
 
     def prefix_bits(self, nbits: int) -> int:
         """First nbits binary digits of the limit, as an integer."""
         if nbits < 1:
             raise ValueError("need at least one bit")
-        start, length = self._arc_for_bits(nbits)
-        # floor(start 2^n) and floor((start + length) 2^n) on numerators, with
-        # start taken mod 1; the second is the first plus the carry of the
-        # remainder over the length
-        num, den = start.numerator, start.denominator
-        if not 0 <= num < den:
-            num %= den
-        lo, rem = divmod(num << nbits, den)
-        ln, ld = length.numerator, length.denominator
-        hi = lo + (rem * ld + (ln << nbits) * den) // (den * ld)
-        if lo == hi:
-            return lo
-        # the arc straddles a dyadic boundary; report the upper cell, which is
-        # still within 2^-nbits of the limit
-        return hi % (1 << nbits)
+        s, l, den, e = self._arc_for_bits(nbits)
+        # floor(s 2^n / (den 2^e)) and floor((s + l) 2^n / (den 2^e)), mod 2^n.
+        # The power of two 2^(n - e) goes into s as a shift, so the one wide
+        # division is by den alone; the second floor is the first plus the
+        # carry of the remainder, with any digits shifted out of s, over the
+        # length
+        k = e - nbits
+        if k > 0:
+            lo, r = divmod(s >> k, den)
+            hi = lo + ((r << k) + (s & ((1 << k) - 1)) + l) // (den << k)
+        else:
+            lo, r = divmod(s << -k, den)
+            hi = lo + (r + (l << -k)) // den
+        # when the arc straddles a dyadic boundary report the upper cell,
+        # which is still within 2^-nbits of the limit
+        return (lo if lo == hi else hi) & ((1 << nbits) - 1)
 
     def refine(self, bits: int) -> Angle:
         """Dyadic angle with denominator 2^bits within 2^-bits of the limit."""

@@ -348,7 +348,9 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
 
     tau1 = lim t_n and tau2 = lim t~_n are returned as nested-arc limits over
     the left and right window components; the component length at level n is
-    (t~_n - t_n)/2^(p_n), which shrinks to zero.
+    (t~_n - t_n)/2^(p_n), which shrinks to zero.  With t_n = a/den and
+    t~_n = b/den over their common denominator, the refiners return the
+    components as integers over den 2^(p_n), so refining runs no gcd.
     """
     if not 1 <= depth <= comb.depth:
         raise ValueError("depth exceeds tower size")
@@ -360,13 +362,14 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
         if not c1 * d0 < c0 * d1:
             raise ValueError(f"window components do not shrink from level {n} to level {n + 1}")
 
-    def left(m: int) -> tuple[Fraction, Fraction]:
+    # the level-m components [lo, lo + Delta] and [hi - Delta, hi] over den 2^p, unreduced
+    def left(m: int) -> tuple[int, int, int, int]:
         a, b, den, p = ints[m - 1]
-        return comb.level(m).lo.frac, _over(b - a, den, p)
+        return a << p, b - a, den, p
 
-    def right(m: int) -> tuple[Fraction, Fraction]:
+    def right(m: int) -> tuple[int, int, int, int]:
         a, b, den, p = ints[m - 1]
-        return _over(((b << p) - (b - a)) % (den << p), den, p), _over(b - a, den, p)
+        return ((b << p) - (b - a)) % (den << p), b - a, den, p
 
     tau1 = LimitAngle(left, max_depth=comb.depth)
     tau2 = LimitAngle(right, max_depth=comb.depth)
@@ -494,7 +497,10 @@ def omega_probe(source, targets, horizon: int, bits: int):
     (doubling acts as the shift); None records no hit within the horizon,
     which is a report, not a refutation.  Targets are exact angles; the
     source is an exact angle or a nested-arc limit refinable to
-    horizon + bits + 4 binary digits.
+    horizon + bits + 4 binary digits.  The win = bits + 4 digit windows near
+    a target form one run of integers, or two where it wraps mod 2^win; each
+    run is looked up in the prefix as the common prefixes of its aligned
+    binary blocks.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -505,26 +511,37 @@ def omega_probe(source, targets, horizon: int, bits: int):
     src = source if isinstance(source, LimitAngle) else LimitAngle.from_angle(source)
     sbits = format(src.prefix_bits(total), f"0{total}b")
     win = bits + slack
+    W = 1 << win
     results = []
     for target in targets:
-        # with W = 2^win and target p/q, dist(w/W, p/q) < 2^-bits exactly when
-        # d = (w q - p W) mod qW has min(d, qW - d) < q 2^slack, that is when
-        # w lies within 2^slack of p W/q mod W; the first hit is the first k
-        # in 1..horizon where one of those few w occurs in the prefix
+        # with target p/q, dist(w/W, p/q) < 2^-bits exactly when w lies
+        # strictly within 2^slack of pW/q mod W: the integers c - 2^slack + 1
+        # up to c + 2^slack, less one when pW/q = c is itself an integer
         p, q = target.numerator, target.denominator
-        pw, qw, tol = p << win, q << win, q << slack
-        c = pw // q
+        c, rem = divmod(p << win, q)
+        lo, hi = c - (1 << slack) + 1, c + (1 << slack) - (rem == 0)
+        runs = [(lo, hi)] if 0 <= lo and hi < W else [(lo % W, W - 1), (0, hi % W)]
         hit, end = None, total
-        for w in range(c - (1 << slack), c + (1 << slack) + 2):
-            w %= 1 << win
-            d = (w * q - pw) % qw
-            if min(d, qw - d) < tol:
-                k = sbits.find(format(w, f"0{win}b"), 1, end)
+        for lo, hi in runs:
+            for x, j in _aligned_blocks(lo, hi):
+                # a window of the block at k starts with its win - j digits
+                # and must end by end
+                k = sbits.find(format(x, f"0{win - j}b"), 1, end - j)
                 if k != -1:
-                    # a later window value counts only where it occurs before k
+                    # a later block counts only where it occurs before k
                     hit, end = k, k - 1 + win
         results.append((target, hit))
     return results
+
+
+def _aligned_blocks(lo: int, hi: int):
+    """(x, j) for the fewest aligned blocks [x 2^j, (x + 1) 2^j) covering lo..hi, in order."""
+    while lo <= hi:
+        j = (hi - lo + 1).bit_length() - 1
+        if lo:
+            j = min(j, (lo & -lo).bit_length() - 1)
+        yield lo >> j, j
+        lo += 1 << j
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,30 @@ def _ref_kc_refiners(comb):
     return left, right
 
 
+def int_refiner(ref, scale=1, extra=0):
+    """The LimitAngle refiner of a Fraction refiner ref: its (start, length) as integers (s, l, den, e).
+
+    The denominator is the product of the two, times an odd scale and
+    2^extra, and its power of two goes into e; so den is odd and the
+    integers are not reduced.
+    """
+
+    def refiner(depth):
+        start, length = ref(depth)
+        D = start.denominator * length.denominator * scale
+        e = (D & -D).bit_length() - 1
+        s, l = (x.numerator * (D // x.denominator) << extra for x in (start, length))
+        return s, l, D >> e, e + extra
+
+    return refiner
+
+
+def refiner_fractions(arc):
+    """A LimitAngle refiner's integers (s, l, den, e) as the Fractions (start, length)."""
+    s, l, den, e = arc
+    return Fraction(s, den << e), Fraction(l, den << e)
+
+
 def _ref_itinerary(t, p, arcs):
     index = {}
     held = []

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from renormray.circle import (
 )
 from renormray.towers import RayPair, feigenbaum_tower, rabbit_tower, subwindow, window_at, window_endpoints
 
+from fraction_reference import int_refiner
+
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
 
@@ -30,6 +33,27 @@ def test_angle_parse_and_str():
     assert Angle.parse("5/3") == Angle(2, 3)
     assert str(Angle(1, 3)) == "1/3"
     assert Angle(7, 7) == Angle(0)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str-to-int digit limit")
+def test_angle_parse_round_trips_past_the_int_str_digit_limit():
+    # the smallest limit the interpreter allows, set for this test alone
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for a in (Angle(1, 10**700 + 1), Angle(10**650 + 7, 3 * 10**700 + 2)):
+            assert len(str(a)) > 700 and Angle.parse(str(a)) == a
+        assert Angle.parse(" +1" + "0" * 700 + "_1 ") == Angle(0)
+        # a malformed literal raises, though int() counts its leading digits
+        # against the limit first
+        digits = "1" * 700
+        for text in (digits + "x", digits + ".5", digits + "e3", "1__0" * 200, "_" + digits, digits + "_",
+                     "nan", "", f"1/{digits}/3", f"{digits}/", f"+-{digits}"):
+            with pytest.raises(ValueError):
+                Angle.parse(text)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(rationals)
@@ -78,6 +102,18 @@ def test_binary_words_roundtrip(u):
     t = Angle(u)
     pre, per = binary_words(t)
     assert angle_from_words(pre, per) == t
+
+
+def test_angle_from_words_matches_fraction_formula():
+    # every preperiodic word of up to 4 digits and periodic word of 1 to 8,
+    # all-zeros and all-ones blocks included, by numerator and denominator
+    words = [format(x, f"0{n}b") for n in range(9) for x in range(1 << n)]
+    for pre in (w for w in words if len(w) <= 4):
+        head = int(pre, 2) if pre else 0
+        for per in words[1:]:
+            want = (head + Fraction(int(per, 2), 2 ** len(per) - 1)) / 2 ** len(pre) % 1
+            got = angle_from_words(pre, per).frac
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (pre, per)
 
 
 def test_binary_words_examples():
@@ -300,8 +336,27 @@ def test_limit_angle_of_rational():
     assert min(d, 1 - d) < Fraction(1, 1 << 10)
 
 
+@pytest.mark.parametrize("first, second", [
+    ((1, 3, 2), (1, 7, 2)),  # 1/12 then 1/28
+    ((1, 3, 2), (2, 3, 3)),  # 1/12 twice, over different 2^e: not growing
+    ((1, 1, 5), (1, 1, 0)),  # 1/32 then 1
+    ((1, 15, 3), (1, 3, 5)),  # 1/120 then 1/96
+    ((5, 1, 43), (3, 1, 42)),  # 5/2^43 then 6/2^43
+])
+def test_limit_angle_rejects_growing_arcs_exactly(first, second):
+    arcs = [(0, l, den, e) for l, den, e in (first, second)]
+    lim = LimitAngle(lambda depth: arcs[depth - 1], max_depth=2)
+    grows = Fraction(second[0], second[1] << second[2]) > Fraction(first[0], first[1] << first[2])
+    if grows:
+        with pytest.raises(ValueError, match="refiner arcs are not shrinking"):
+            lim.prefix_bits(40)
+    else:
+        with pytest.raises(ValueError, match="insufficient depth: 40 bits need more than 2 refinements"):
+            lim.prefix_bits(40)
+
+
 def test_limit_angle_budget_exhaustion():
-    lim = LimitAngle(lambda d: (Fraction(0), Fraction(1, 2 ** d)), max_depth=3)
+    lim = LimitAngle(lambda d: (0, 1, 1, d), max_depth=3)
     with pytest.raises(ValueError):
         lim.prefix_bits(30)
 
@@ -315,7 +370,7 @@ def test_limit_angle_budget_exhaustion():
     ],
 )
 def test_limit_angle_prefix_across_dyadic_boundary(start, nbits, expected):
-    lim = LimitAngle(lambda d: (start, Fraction(1, 1 << 19)), max_depth=1)
+    lim = LimitAngle(int_refiner(lambda d: (start, Fraction(1, 1 << 19))), max_depth=1)
     assert lim.prefix_bits(nbits) == expected
     assert lim.refine(nbits) == Angle(expected, 1 << nbits)
 
@@ -335,14 +390,18 @@ def _ref_prefix_bits(start, length, nbits):
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=1 << 12),
     st.booleans(),
+    st.sampled_from([1, 3, 15]),
+    st.integers(min_value=0, max_value=60),
 )
-def test_prefix_bits_matches_fraction_formula(start, nbits, length_num, cell, straddle):
+def test_prefix_bits_matches_fraction_formula(start, nbits, length_num, cell, straddle, scale, extra):
     # lengths up to 2^-(nbits+2), zero included; a straddling start sits just
-    # below the dyadic point cell/2^nbits, which may lie outside [0, 1)
+    # below the dyadic point cell/2^nbits, which may lie outside [0, 1).  The
+    # refiner's integers are left unreduced, over den 2^e with e below or
+    # above nbits
     length = Fraction(length_num, 1 << (nbits + 4))
     if straddle:
         start = Fraction(cell - 2048, 1 << nbits) - length / 2
-    lim = LimitAngle(lambda depth: (start, length), max_depth=1)
+    lim = LimitAngle(int_refiner(lambda depth: (start, length), scale, extra), max_depth=1)
     assert lim.prefix_bits(nbits) == _ref_prefix_bits(start, length, nbits)
 
 

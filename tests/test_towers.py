@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from renormray import circle
 from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
 from renormray.towers import (
     ComponentAddress,
@@ -43,7 +45,9 @@ from fraction_reference import (
     _ref_window_at,
     _ref_window_endpoints,
     _ref_subwindow,
+    int_refiner,
     outcome as _outcome,
+    refiner_fractions,
 )
 
 
@@ -620,7 +624,8 @@ def _kc_towers():
 
 
 def test_kc_shadow_with_invalid_lower_level_matches_fraction_reference():
-    # the refiners read levels that no call validates, so they reduce by a gcd
+    # the refiners read levels that no call validates; their unreduced
+    # integers are compared as the Fractions they stand for
     refined = 0
     for comb in _kc_towers():
         left, right = _ref_kc_refiners(comb)
@@ -631,11 +636,11 @@ def test_kc_shadow_with_invalid_lower_level_matches_fraction_reference():
             refined += 1
             assert _parts(shad.s) == _parts(_ref_window_at(comb.level(depth), 1))
             for got, ref in ((shad.tau1, left), (shad.tau2, right)):
-                assert [_parts(got.refiner(m)) for m in range(1, comb.depth + 1)] == [
+                assert [_parts(refiner_fractions(got.refiner(m))) for m in range(1, comb.depth + 1)] == [
                     _parts(ref(m)) for m in range(1, comb.depth + 1)
                 ]
                 for bits in (1, 3, 5, 8):
-                    want = _outcome(LimitAngle(ref, comb.depth).refine, bits)
+                    want = _outcome(LimitAngle(int_refiner(ref), comb.depth).refine, bits)
                     assert _parts(_outcome(got.refine, bits)) == _parts(want)
     assert refined >= 6
 
@@ -874,3 +879,61 @@ def test_omega_probe_matches_fraction_reference_on_seeded_triples():
         hits += sum(hit is not None for _, hit in got)
         misses += sum(hit is None for _, hit in got)
     assert hits > 200 and misses > 200
+
+
+def test_omega_probe_matches_fraction_reference_on_wrapping_runs_and_last_windows():
+    # the windows near 0, 2^-20 and 1 - 2^-20 run across 0 mod 2^win; the
+    # window at k = horizon ends at the prefix's last digit
+    sources = [
+        LimitAngle.from_angle(Angle(1, 1025)),  # 0.(0^10 1^10): windows near 0 and near 1
+        LimitAngle.from_angle(Angle((1 << 40) - 1, 1 << 40)),
+        shadow_Kc(feigenbaum_tower(6), 6).tau1,
+        shadow_Kc(rabbit_tower(3), 3).tau1,
+    ]
+    wrapped = {"above 0": 0, "below 1": 0}
+    last = misses = 0
+    for src in sources:
+        for bits in (2, 8, 12):
+            win = bits + 4
+            for horizon in (1, 2, 3, 9):
+                total = horizon + win
+                prefix = src.prefix_bits(total)
+                w = prefix % (1 << win)
+                targets = [Angle(0), Angle(1, 1 << 20), Angle((1 << 20) - 1, 1 << 20)]
+                targets += [Angle(w, 1 << win), Angle(w + (1 << (win - 1)), 1 << win)]
+                got = omega_probe(src, targets, horizon, bits)
+                assert got == _ref_omega_probe(src, targets, horizon, bits)
+                for _, k in got[:3]:
+                    if k is not None:
+                        hit = (prefix >> (total - k - win)) % (1 << win)
+                        wrapped["above 0" if hit < 1 << (win - 1) else "below 1"] += 1
+                last += got[3][1] == horizon
+                misses += sum(k is None for _, k in got)
+    assert min(wrapped.values()) >= 20 and last >= 20 and misses >= 50
+
+
+def test_deep_prefix_bits_runs_no_gcd_and_builds_no_fraction(monkeypatch):
+    # README's omega example reads 65,548 digits of the F17 limit: one wide
+    # division and shifts on the refiner's integers, counted rather than timed
+    comb = feigenbaum_tower(17)
+    tau1 = shadow_Kc(comb, 17).tau1
+    want = LimitAngle(int_refiner(_ref_kc_refiners(comb)[0]), comb.depth).prefix_bits(65548)
+    calls = {"gcd": 0, "Fraction": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(math, "gcd", counting("gcd", math.gcd))
+    monkeypatch.setattr(Fraction, "__new__", counting("Fraction", Fraction.__new__))
+    monkeypatch.setattr(circle, "_coprime", counting("Fraction", circle._coprime))
+    got = tau1.prefix_bits(65548)
+    during = dict(calls)
+    Fraction(2, 4)  # the counters see a Fraction and its gcd
+    monkeypatch.undo()
+    assert during == {"gcd": 0, "Fraction": 0}
+    assert calls == {"gcd": 1, "Fraction": 1}
+    assert got == want
