@@ -55,7 +55,14 @@ def _tower(args):
 def _tower_levels(text: str):
     from .towers import RayPair
 
-    return [RayPair(int(lv["period"]), Angle.parse(lv["lo"]), Angle.parse(lv["hi"])) for lv in json.loads(text)]
+    return [RayPair(_period(lv["period"]), Angle.parse(lv["lo"]), Angle.parse(lv["hi"])) for lv in json.loads(text)]
+
+
+def _period(value) -> int:
+    # int() alone would read a period of 2.7 as 2 and true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"period {value!r} is not an integer")
+    return int(value)
 
 
 def _add_tower_flags(p, need_level=False):

@@ -46,43 +46,43 @@ def _linked(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return (a < c2[0] < b) != (a < c2[1] < b)
 
 
-def _orbit_ints(pair, N: int, factors: dict | None = None):
-    """The distinct chords of orbit_chords() as sorted numerator pairs (x, y) over N.
+def _orbit_ints(pair, N: int, factors: dict):
+    """Every (sigma^k lo, sigma^k hi), k = 0..period-1, as numerators over N.
 
     N is a multiple of both angle denominators (in a tower, the lcm of the
-    level denominators), so sigma is x -> 2x mod N and the walk builds no
-    Fraction.  Given a dict, factors[x] is set to N // d for each endpoint x
-    of an angle of reduced denominator d: gcd(x, N) when N is odd, since
-    doubling mod an odd N keeps it.
+    level denominators), so sigma is x -> 2x mod N, one shift and at most one
+    subtraction, and the walk builds no Fraction.  When N is odd, factors[x]
+    is set to N // d for each endpoint x of an angle of reduced denominator d:
+    gcd(x, N), since doubling mod an odd N keeps it.
     """
     ga, gb = N // pair.lo.denominator, N // pair.hi.denominator
     a, b = pair.lo.numerator * ga, pair.hi.numerator * gb
-    seen = set()
     for _ in range(pair.period):
         if a == b:
             raise ValueError("chord endpoints must differ")
-        c = (a, b) if a < b else (b, a)
-        if c not in seen:
-            seen.add(c)
-            if factors is not None:
-                factors[a], factors[b] = ga, gb
-            yield c
-        a, b = (a << 1) % N, (b << 1) % N
+        if N & 1:
+            factors[a], factors[b] = ga, gb
+        yield a, b
+        a, b = a << 1, b << 1
+        a, b = a - N if a >= N else a, b - N if b >= N else b
 
 
-def _chord(c: tuple[int, int], N: int, e: int = 0, factors: dict | None = None) -> Chord:
-    """The Chord of sorted numerators over N 2^e; with factors[x] = gcd(x, N) for an odd N, no gcd runs."""
-    if factors is None:
-        return Chord(Angle(c[0], N << e), Angle(c[1], N << e))
+def _distinct(walk) -> list[tuple[int, int]]:
+    """The distinct chords of a walk as sorted pairs, in order of first appearance."""
+    return list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in walk))
+
+
+def _chord(c: tuple[int, int], N: int, factors: dict, e: int = 0) -> Chord:
+    """The Chord of sorted numerators over N 2^e; factors.get(x) is gcd(x, N), or None and one gcd runs."""
     x, y = c
-    return Chord(Angle(_over(x, N, e, factors[x])), Angle(_over(y, N, e, factors[y])))
+    return Chord(Angle(_over(x, N, e, factors.get(x))), Angle(_over(y, N, e, factors.get(y))))
 
 
 def orbit_chords(pair) -> list[Chord]:
     """Distinct chords {sigma^k(lo), sigma^k(hi)}, k = 0..period-1."""
     N = math.lcm(pair.lo.denominator, pair.hi.denominator)
-    factors = {} if N & 1 else None
-    return [_chord(c, N, 0, factors) for c in _orbit_ints(pair, N, factors)]
+    factors: dict = {}
+    return [_chord(c, N, factors) for c in _distinct(_orbit_ints(pair, N, factors))]
 
 
 def _crosses(ends: list, partners: list, chord: tuple[int, int]) -> bool:
@@ -114,7 +114,7 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     N = math.lcm(*(t.denominator for pair in levels for t in (pair.lo, pair.hi)))
     M = N << preimage_depth
     half = M >> 1
-    level_factors = {} if N & 1 else None
+    level_factors: dict = {}
     family: dict[tuple[int, int], None] = {}  # insertion-ordered set
     ends, partners = [], []  # sorted endpoints of family, each with its chord's other endpoint
 
@@ -126,12 +126,12 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
             partners.insert(k, y)
 
     for pair in levels:
-        for x, y in _orbit_ints(pair, N, level_factors):
+        for x, y in _distinct(_orbit_ints(pair, N, level_factors)):
             c = (x << preimage_depth, y << preimage_depth)
             if c not in family:
                 add(c)
-    # gcd(x, N) of each endpoint x over M
-    factors = None if level_factors is None else {x << preimage_depth: g for x, g in level_factors.items()}
+    # gcd(x, N) of each endpoint x over M (none is recorded for an even N)
+    factors = {x << preimage_depth: g for x, g in level_factors.items()}
     frontier = list(family)
     for _ in range(preimage_depth):
         new_frontier = []
@@ -139,22 +139,19 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
             # a < b, so a0 < b0 < a1 < b1
             a0, b0 = a >> 1, b >> 1
             a1, b1 = a0 + half, b0 + half
-            placed = None
-            for cand in (((a0, b0), (a1, b1)), ((a0, b1), (b0, a1))):
-                if not any(_crosses(ends, partners, c) for c in cand) and not _linked(*cand):
-                    placed = cand
+            for placed in (((a0, b0), (a1, b1)), ((a0, b1), (b0, a1))):
+                if not any(_crosses(ends, partners, c) for c in placed) and not _linked(*placed):
                     break
-            if placed is None:
-                raise ValueError(f"no unlinked preimage placement for {_chord((a, b), M)}")
-            if factors is not None:
-                factors[a0] = factors[a1] = factors[a]
-                factors[b0] = factors[b1] = factors[b]
+            else:
+                raise ValueError(f"no unlinked preimage placement for {_chord((a, b), N, factors, preimage_depth)}")
+            factors[a0] = factors[a1] = factors.get(a)
+            factors[b0] = factors[b1] = factors.get(b)
             for c in placed:
                 if c not in family:
                     add(c)
                     new_frontier.append(c)
         frontier = new_frontier
-    return tuple(_chord(c, N, preimage_depth, factors) for c in sorted(family))
+    return tuple(_chord(c, N, factors, preimage_depth) for c in sorted(family))
 
 
 def _nested(pairs) -> bool:

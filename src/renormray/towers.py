@@ -27,7 +27,7 @@ from .circle import (
     binary_words,
     sigma_pow,
 )
-from .lamination import _chord, _orbit_ints, _witnesses
+from .lamination import _chord, _distinct, _orbit_ints, _witnesses
 
 
 @dataclass(frozen=True)
@@ -580,7 +580,7 @@ def validate(comb: Tower) -> ValidationReport:
     def linkage(chords, limit=None):
         # pass, and the first limit linked pairs as Chords over N
         found = _witnesses(chords)[:limit]
-        return not found, "; ".join(f"{_chord(chords[i], N)} x {_chord(chords[k], N)}" for i, k in found)
+        return not found, "; ".join(f"{_chord(chords[i], N, factors)} x {_chord(chords[k], N, factors)}" for i, k in found)
 
     pair_ok = []
     for n, pair in enumerate(comb.levels, start=1):
@@ -605,37 +605,32 @@ def validate(comb: Tower) -> ValidationReport:
         except ValueError:
             nest_small = False
         add("nesting_s", n + 1, nest_small, "s_{n+1,1} in s_{n,1}")
-    # the orbit chords of every passing level, as numerator pairs over the lcm
-    # of their denominators
+    # every passing level's sigma-orbit, walked once over the lcm N of their
+    # denominators, feeds orbit_exclusion, min_length_2inf and the chords
     N = math.lcm(*(t.denominator for pair, ok in zip(comb.levels, pair_ok) if ok for t in (pair.lo, pair.hi)))
+    factors: dict = {}
     all_chords = []
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
-        # one sigma-orbit walk over the numerators of lo and hi feeds
-        # orbit_exclusion and min_length_2inf; k = p is left out because
-        # sigma^p fixes lo and hi, which bound the interior of S_n.  With
-        # 0 < lo0 < hi0 < den, S_n does not run across 0.
-        lo0, hi0, den = _over_den(pair)
+        walk = list(_orbit_ints(pair, N, factors))
+        # k runs to p - 1, as sigma^p fixes lo and hi; S_n = (lo0, hi0) does not run across 0
+        lo0, hi0 = walk[0]
+        width = hi0 - lo0
         hits, short = [], []
-        a, b = lo0, hi0
-        for k in range(1, pair.period):
-            a, b = 2 * a % den, 2 * b % den
-            hits += [f"sigma^{k} hits {Angle(x, den)}" for x in (a, b) if lo0 < x < hi0]
-            # the points cut the circle into [u, v] and [v, u + 1] (den is odd,
-            # so u < v); an arc overlaps S_n when they share more than a point
-            u, v = min(a, b), max(a, b)
-            disjoint = []
-            if not (u < hi0 and lo0 < v):
-                disjoint.append(v - u)
-            if not (v < hi0 or lo0 < u):
-                disjoint.append(den - (v - u))
-            if not disjoint:
+        for k, (a, b) in enumerate(walk[1:], start=1):
+            hits += [f"sigma^{k} hits {Angle(x, N)}" for x in (a, b) if lo0 < x < hi0]
+            # the points cut the circle into [u, v] and [v, u + 1]; an arc avoids
+            # S_n when they share at most a point: [u, v] when it misses S_n,
+            # [v, u + 1] when [u, v] holds it, and never both
+            u, v = (a, b) if a < b else (b, a)
+            avoiding = v - u if hi0 <= u or v <= lo0 else N - (v - u) if u <= lo0 and hi0 <= v else None
+            if avoiding is None:
                 short.append(f"k={k}: no arc avoids S_n interior")
-            elif any(length < hi0 - lo0 for length in disjoint):
+            elif avoiding < width:
                 short.append(f"k={k}: avoiding arc shorter than S_n")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
-        chords = list(_orbit_ints(pair, N))
+        chords = _distinct(walk)
         all_chords += chords
         add("unlinked_chords", n, *linkage(chords))
         add("min_length_2inf", n, not short, "; ".join(short))

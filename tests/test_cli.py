@@ -57,6 +57,14 @@ def test_validate_failure_exit_code(capsys):
     assert not json.loads(out)["pass"]
 
 
+@pytest.mark.parametrize("period", ["2", "2.0", '"2"'])
+def test_integral_periods_parse(capsys, period):
+    # an integral JSON number or a digit string is a period
+    code, out = invoke(capsys, "tower", "--tower", f'[{{"period": {period}, "lo": "1/3", "hi": "2/3"}}]')
+    assert code == 0
+    assert json.loads(out)[0]["period"] == 2
+
+
 def test_window_and_sub(capsys):
     code, out = invoke(capsys, "window", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--j", "1")
     assert code == 0
@@ -259,6 +267,9 @@ MALFORMED_TOWERS = [
     '[{"period": "two", "lo": "1/3", "hi": "2/3"}]',
     '[{"period": 2, "lo": "1/0", "hi": "2/3"}]',
     '[{"period": 2, "lo": [1, 3], "hi": "2/3"}]',
+    # int() alone would read these as periods 2 and 1
+    '[{"period": 2.7, "lo": "1/3", "hi": "2/3"}]',
+    '[{"period": true, "lo": "1/3", "hi": "2/3"}]',
 ]
 
 

@@ -560,6 +560,22 @@ def test_validate_matches_fraction_reference_on_broken_towers():
             assert _outcome(window_at, pair, j) == _outcome(_ref_window_at, pair, j)
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["as_given", "swapped"])
+def test_validate_witnesses_over_the_tower_lcm(swap):
+    # (1/15, 4/15) is periodic but not a renormalization pair; its orbit
+    # checks fail over N = lcm(15, 17) = 255, not over its own 15, and the
+    # cross-level scan runs on both levels
+    levels = (RayPair(4, Angle(1, 15), Angle(4, 15)), RayPair(8, Angle(7, 17), Angle(10, 17)))
+    comb = Tower(levels[::-1] if swap else levels)
+    report = validate(comb).to_json()
+    assert report == _ref_validate(comb)
+    n = 2 if swap else 1
+    failed = {(e["check"], e["level"]) for e in report if not e["pass"]}
+    assert {("orbit_exclusion", n), ("unlinked_chords", n), ("min_length_2inf", n), ("unlinked_across_levels", 0)} <= failed
+    exclusion = next(e for e in report if e["check"] == "orbit_exclusion" and e["level"] == n)
+    assert exclusion["witness"] == "sigma^1 hits 2/15; sigma^3 hits 2/15"
+
+
 def _parts(value):
     """Every Fraction in a window value as (numerator, denominator), so that an unreduced one shows."""
     if isinstance(value, Fraction):
