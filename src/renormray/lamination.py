@@ -46,21 +46,23 @@ def _linked(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return (a < c2[0] < b) != (a < c2[1] < b)
 
 
-def _orbit_ints(pair, N: int, factors: dict):
+def _orbit_ints(pair, N: int, factors: dict | None = None):
     """Every (sigma^k lo, sigma^k hi), k = 0..period-1, as numerators over N.
 
     N is a multiple of both angle denominators (in a tower, the lcm of the
     level denominators), so sigma is x -> 2x mod N, one shift and at most one
-    subtraction, and the walk builds no Fraction.  When N is odd, factors[x]
-    is set to N // d for each endpoint x of an angle of reduced denominator d:
-    gcd(x, N), since doubling mod an odd N keeps it.
+    subtraction, and the walk builds no Fraction.  When N is odd and a
+    factors dict is passed, factors[x] is set to N // d for each endpoint x
+    of an angle of reduced denominator d: gcd(x, N), since doubling mod an
+    odd N keeps it.
     """
     ga, gb = N // pair.lo.denominator, N // pair.hi.denominator
     a, b = pair.lo.numerator * ga, pair.hi.numerator * gb
+    record = factors is not None and N & 1
     for _ in range(pair.period):
         if a == b:
             raise ValueError("chord endpoints must differ")
-        if N & 1:
+        if record:
             factors[a], factors[b] = ga, gb
         yield a, b
         a, b = a << 1, b << 1

@@ -21,10 +21,11 @@ from .circle import (
     Arc,
     ArcSet,
     LimitAngle,
+    _coprime,
     _over,
     _text,
     angle_from_words,
-    binary_words,
+    orbit_info,
     sigma_pow,
 )
 from .lamination import _chord, _distinct, _orbit_ints, _witnesses
@@ -135,16 +136,68 @@ def pair_words(pair: RayPair) -> tuple[str, str]:
 
 
 def tune(base: RayPair, t: Angle) -> Angle:
-    """Douady tuning: substitute the pair words for the binary digits of t."""
-    w0, w1 = pair_words(base)
-    if w0 == w1:
+    """Douady tuning: substitute the pair words for the binary digits of t.
+
+    The tuned angle is computed from the pair's numerators and t's digit
+    blocks as integers; no word is built (see _tune).
+    """
+    return Angle(_tune(_tuning(base), _digits(t)))
+
+
+def _tuning(base: RayPair) -> tuple[int, int, int, int]:
+    """(p, a, b, den) of a pair tune() can substitute: lo = a/den and hi = b/den, den | 2^p - 1, lo != hi."""
+    p = base.period
+    if p < 1:
+        raise ValueError("period must be >= 1")
+    a, b, den = _over_den(base)
+    # den is the lcm of the two denominators, so it divides 2^p - 1 exactly when both do
+    if ((1 << p) - 1) % den:
+        t = next(t for t in (base.lo, base.hi) if ((1 << p) - 1) % t.denominator)
+        raise ValueError(f"{t} is not periodic with period dividing {p}")
+    if a == b:
         raise ValueError("degenerate pair")
-    pre, per = binary_words(t)
+    return p, a, b, den
 
-    def sub(bits: str) -> str:
-        return "".join(w0 if b == "0" else w1 for b in bits)
 
-    return angle_from_words(sub(pre), sub(per))
+def _digits(t: Angle) -> tuple[int, int, int, int]:
+    """(e, h, q, k) with t = (h + k/(2^q - 1))/2^e: t's e preperiodic and q periodic binary digits as integers."""
+    e, q = orbit_info(t)
+    odd = t.denominator >> e
+    h, rem = divmod(t.numerator, odd)
+    return e, h, q, rem * (((1 << q) - 1) // odd)
+
+
+def _spread(x: int, n: int, p: int) -> int:
+    """x < 2^n with its bit i moved to bit p i."""
+    if n <= 8:
+        return sum(1 << p * i for i in range(n) if x >> i & 1)
+    m = n // 2
+    return _spread(x & ((1 << m) - 1), m, p) | _spread(x >> m, n - m, p) << p * m
+
+
+def _tune(ints: tuple[int, int, int, int], digits: tuple[int, int, int, int]) -> Fraction:
+    """tune() on _tuning()'s integers and _digits() of t, as a reduced Fraction.
+
+    Substituting the words of lo = a/den and hi = b/den for t's digits gives
+    lo + (hi - lo)(2^p - 1) psi(t), psi(t) reading t's digits in base 2^p.
+    With R = (2^(pq) - 1)/(2^p - 1), the sum of 2^(p i) over i < q,
+    (2^p - 1) psi(t) = (spread(h)(2^(pq) - 1) + spread(k)) / (R 2^(pe)).
+    den and R are odd, and gcd(x, den R) = g1 gcd(x/g1, R) with
+    g1 = gcd(x, den), so the reduction runs one gcd at den's size and one at
+    R's, not one at the size of 2^(pq) - 1.
+    """
+    p, a, b, den = ints
+    e, h, q, k = digits
+    R = _spread((1 << q) - 1, q, p)
+    sh = _spread(h, e, p)
+    pe = p * e
+    x = (a * R << pe) + (b - a) * ((sh << p * q) - sh + _spread(k, q, p))
+    g1 = math.gcd(x, den)
+    x //= g1
+    g2 = math.gcd(x, R)
+    x //= g2
+    v = min(pe, (x & -x).bit_length() - 1) if x else pe
+    return _coprime(x >> v, (den // g1) * (R // g2) << (pe - v))
 
 
 def self_tuned_tower(base: RayPair, depth: int) -> Tower:
@@ -152,10 +205,13 @@ def self_tuned_tower(base: RayPair, depth: int) -> Tower:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     base.require_valid()
+    digits = _digits(base.lo), _digits(base.hi)
     levels = [base]
     for _ in range(depth - 1):
         prev = levels[-1]
-        levels.append(RayPair(prev.period * base.period, tune(prev, base.lo), tune(prev, base.hi)))
+        ints = _tuning(prev)
+        lo, hi = (Angle(_tune(ints, d)) for d in digits)
+        levels.append(RayPair(prev.period * base.period, lo, hi))
     return Tower(tuple(levels))
 
 
@@ -578,9 +634,10 @@ def validate(comb: Tower) -> ValidationReport:
         entries.append(CheckResult(check, level, passed, witness))
 
     def linkage(chords, limit=None):
-        # pass, and the first limit linked pairs as Chords over N
+        # pass, and the first limit linked pairs as Chords over N; no factor
+        # is recorded, so each witness chord runs its own gcd
         found = _witnesses(chords)[:limit]
-        return not found, "; ".join(f"{_chord(chords[i], N, factors)} x {_chord(chords[k], N, factors)}" for i, k in found)
+        return not found, "; ".join(f"{_chord(chords[i], N, {})} x {_chord(chords[k], N, {})}" for i, k in found)
 
     pair_ok = []
     for n, pair in enumerate(comb.levels, start=1):
@@ -608,12 +665,11 @@ def validate(comb: Tower) -> ValidationReport:
     # every passing level's sigma-orbit, walked once over the lcm N of their
     # denominators, feeds orbit_exclusion, min_length_2inf and the chords
     N = math.lcm(*(t.denominator for pair, ok in zip(comb.levels, pair_ok) if ok for t in (pair.lo, pair.hi)))
-    factors: dict = {}
     all_chords = []
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
-        walk = list(_orbit_ints(pair, N, factors))
+        walk = list(_orbit_ints(pair, N))
         # k runs to p - 1, as sigma^p fixes lo and hi; S_n = (lo0, hi0) does not run across 0
         lo0, hi0 = walk[0]
         width = hi0 - lo0

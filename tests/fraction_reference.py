@@ -2,17 +2,29 @@
 
 These are the implementations that stepped and compared Fractions before
 the window derivation and the chord, itinerary and omega walks moved to
-numerators over one common denominator.  Tests compare the integer code
-against them for equal values, or equal exception types and texts.  The
-shadow and theta references read the windows from the Fraction derivation
-below, not from renormray.towers.
+numerators over one common denominator, and the string substitution that
+tuned angles before tune() computed them from the pair's numerators.  Tests
+compare the integer code against them for equal values, or equal exception
+types and texts.  The shadow and theta references read the windows from the
+Fraction derivation below, not from renormray.towers.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from renormray.circle import Angle, Arc, ArcSet, LimitAngle, angle_from_words, double, preimages, sigma_pow
+from renormray.circle import (
+    Angle,
+    Arc,
+    ArcSet,
+    LimitAngle,
+    angle_from_words,
+    binary_words,
+    double,
+    preimages,
+    sigma_pow,
+)
 from renormray.lamination import Chord
+from renormray.towers import pair_words
 
 
 def outcome(derive, *args):
@@ -103,6 +115,18 @@ def _ref_verify_unlinked(family):
             witnesses = [(c, d) for j, c in enumerate(family) for d in family[j + 1:] if _ref_linked(c, d)]
             return {"pass": False, "witnesses": witnesses}
     return {"pass": True, "witnesses": []}
+
+
+def _ref_tune(base, t):
+    w0, w1 = pair_words(base)
+    if w0 == w1:
+        raise ValueError("degenerate pair")
+    pre, per = binary_words(t)
+
+    def sub(bits):
+        return "".join(w0 if b == "0" else w1 for b in bits)
+
+    return angle_from_words(sub(pre), sub(per))
 
 
 def _ref_window_length(pair, j):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from renormray import circle
 from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
 from renormray.towers import (
+    RABBIT_PAIR,
     ComponentAddress,
     RayPair,
     Tower,
@@ -36,6 +37,7 @@ from renormray.towers import (
 
 from fraction_reference import (
     _ref_check,
+    _ref_tune,
     _ref_in_shadow,
     _ref_kc_refiners,
     _ref_omega_probe,
@@ -76,6 +78,54 @@ def test_tune_substitutes_words():
     # 1/3 = 0.(01): substituting 01 -> 0110 gives 0.(0110) = 2/5
     assert tune(base, Angle(1, 3)) == Angle(2, 5)
     assert tune(base, Angle(2, 3)) == Angle(3, 5)
+
+
+# the characteristic pairs of period <= 4 (Lavaurs), then a mixed-denominator
+# pair, a pair over two odd denominators and a pair with lo > hi
+TUNE_BASES = [
+    RayPair(p, Angle(k, (1 << p) - 1), Angle(l, (1 << p) - 1))
+    for p, k, l in [(2, 1, 2), (3, 1, 2), (3, 3, 4), (3, 5, 6), (4, 1, 2), (4, 3, 4), (4, 6, 9), (4, 7, 8), (4, 11, 12), (4, 13, 14)]
+] + [RayPair(4, Angle(1, 5), Angle(1, 3)), RayPair(6, Angle(1, 9), Angle(1, 7)), RayPair(2, Angle(2, 3), Angle(1, 3))]
+
+
+def test_tune_matches_word_substitution():
+    """tune() on the pair's numerators equals substituting the pair words,
+    by numerator and denominator, for every reduced t with denominator < 80:
+    periodic, preperiodic and 0."""
+    ts = [Angle(0)] + [Angle(n, d) for d in range(2, 80) for n in range(1, d) if math.gcd(n, d) == 1]
+    for base in TUNE_BASES:
+        for t in ts:
+            got, ref = tune(base, t), _ref_tune(base, t)
+            assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator), (base, t)
+
+
+@pytest.mark.parametrize("base, message", [
+    (RayPair(0, Angle(1, 3), Angle(2, 3)), "period must be >= 1"),
+    (RayPair(-1, Angle(1, 3), Angle(2, 3)), "period must be >= 1"),
+    (RayPair(2, Angle(1, 3), Angle(1, 5)), "1/5 is not periodic with period dividing 2"),
+    (RayPair(4, Angle(1, 3), Angle(1, 3)), "degenerate pair"),
+])
+def test_tune_raises(base, message):
+    with pytest.raises(ValueError) as exc:
+        tune(base, Angle(1, 3))
+    assert str(exc.value) == message
+
+
+def test_feigenbaum_tower_closed_form():
+    """Level n of the period-doubling tower is (t, 1 - t) over 2^(2^(n-1)) + 1."""
+    for n, pair in enumerate(feigenbaum_tower(17).levels, start=1):
+        den = (1 << (1 << (n - 1))) + 1
+        assert pair.lo.denominator == pair.hi.denominator == den
+        assert pair.lo.frac + pair.hi.frac == 1
+
+
+def test_rabbit_tower_matches_word_substitution():
+    levels = [RABBIT_PAIR]
+    for d in range(1, 7):
+        ints = [(p.period, t.numerator, t.denominator) for p in rabbit_tower(d).levels for t in (p.lo, p.hi)]
+        assert ints == [(p.period, t.numerator, t.denominator) for p in levels for t in (p.lo, p.hi)]
+        prev = levels[-1]
+        levels.append(RayPair(3 * prev.period, _ref_tune(prev, RABBIT_PAIR.lo), _ref_tune(prev, RABBIT_PAIR.hi)))
 
 
 def test_window_first_level():
