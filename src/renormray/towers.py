@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .circle import (
@@ -33,7 +34,14 @@ from .lamination import _chord, _distinct, _orbit_ints, _witnesses
 
 @dataclass(frozen=True)
 class RayPair:
-    """A pair of angles 0 < lo < hi < 1, each fixed by sigma^period."""
+    """A pair of angles 0 < lo < hi < 1, each fixed by sigma^period.
+
+    The fields are frozen, so a pair's checks run once per object: its
+    integers, 2^p mod den and check()'s problems are kept in a private record
+    by the first check, window, shadow or tuning query, and gcd(b - a, den)
+    by the first width or window value.  Neither is a field: equality,
+    hashing and repr see period, lo and hi only.
+    """
 
     period: int
     lo: Angle
@@ -41,14 +49,39 @@ class RayPair:
 
     def check(self) -> list[str]:
         """Invariant violations as human-readable strings (empty when valid)."""
-        return _checked(self)[0]
+        return list(self._record[4])
 
     @property
     def width(self) -> Fraction:
-        return self.hi.frac - self.lo.frac
+        a, b, den = self._record[:3]
+        g = self._width_gcd
+        return _coprime((b - a) // g, den // g)
 
     def require_valid(self):
         _valid(self)
+
+    @cached_property
+    def _record(self) -> tuple[int, int, int, int | None, tuple[str, ...]]:
+        """(a, b, den, r, problems): _over_den()'s integers, r = 2^p mod den (None for a period below 1) and check()'s problems."""
+        a, b, den = _over_den(self)
+        p = self.period
+        if p < 1:
+            return a, b, den, None, (f"period {p} < 1",)
+        r = pow(2, p, den)
+        problems = []
+        if not 0 < a < b:
+            problems.append(f"angles not ordered: 0 < {self.lo} < {self.hi} < 1 fails")
+        for t in (self.lo, self.hi):
+            # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
+            if (r - 1) % t.denominator:
+                problems.append(f"sigma^{p}({t}) = {sigma_pow(t, p)} != {t}")
+        return a, b, den, r, tuple(problems)
+
+    @cached_property
+    def _width_gcd(self) -> int:
+        """gcd(b - a, den): the factor that reduces the width, and every window length of a valid pair."""
+        a, b, den = self._record[:3]
+        return math.gcd(b - a, den)
 
 
 def _over_den(pair: RayPair) -> tuple[int, int, int]:
@@ -63,30 +96,13 @@ def _over_den(pair: RayPair) -> tuple[int, int, int]:
     return pair.lo.numerator * (den // d0), pair.hi.numerator * (den // d1), den
 
 
-def _checked(pair: RayPair) -> tuple[list[str], tuple[int, int, int, int] | None]:
-    """check()'s problems, and (a, b, den, r) with r = 2^p mod den when the period is positive."""
-    p = pair.period
-    if p < 1:
-        return [f"period {p} < 1"], None
-    a, b, den = _over_den(pair)
-    r = pow(2, p, den)
-    problems = []
-    if not 0 < a < b:
-        problems.append(f"angles not ordered: 0 < {pair.lo} < {pair.hi} < 1 fails")
-    for t in (pair.lo, pair.hi):
-        # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
-        if (r - 1) % t.denominator:
-            problems.append(f"sigma^{p}({t}) = {sigma_pow(t, p)} != {t}")
-    return problems, (a, b, den, r)
-
-
 def _valid(pair: RayPair) -> tuple[int, int, int, int]:
-    """(a, b, den, r) of a valid renormalization pair; ValueError otherwise."""
-    problems, ints = _checked(pair)
+    """(a, b, den, r) of a valid renormalization pair, read from its record; ValueError otherwise."""
+    a, b, den, r, problems = pair._record
     # the width (b - a)/den is below 1/2
-    if problems or not 2 * (ints[1] - ints[0]) < ints[2]:
+    if problems or not 2 * (b - a) < den:
         raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
-    return ints
+    return a, b, den, r
 
 
 @dataclass(frozen=True)
@@ -126,6 +142,8 @@ RABBIT_PAIR = RayPair(3, Angle(1, 7), Angle(2, 7))
 
 def pair_words(pair: RayPair) -> tuple[str, str]:
     """Length-p binary words of the two pair angles (denominators | 2^p - 1)."""
+    if pair.period < 1:
+        raise ValueError("period must be >= 1")
     mod = (1 << pair.period) - 1
     words = []
     for t in (pair.lo, pair.hi):
@@ -145,18 +163,20 @@ def tune(base: RayPair, t: Angle) -> Angle:
 
 
 def _tuning(base: RayPair) -> tuple[int, int, int, int]:
-    """(p, a, b, den) of a pair tune() can substitute: lo = a/den and hi = b/den, den | 2^p - 1, lo != hi."""
-    p = base.period
-    if p < 1:
+    """(p, a, b, den) of a pair tune() can substitute: lo = a/den and hi = b/den, den | 2^p - 1, lo != hi.
+
+    The periodicity test reads r = 2^p mod den from the pair's record, as check() does.
+    """
+    a, b, den, r, _ = base._record
+    if r is None:
         raise ValueError("period must be >= 1")
-    a, b, den = _over_den(base)
     # den is the lcm of the two denominators, so it divides 2^p - 1 exactly when both do
-    if ((1 << p) - 1) % den:
-        t = next(t for t in (base.lo, base.hi) if ((1 << p) - 1) % t.denominator)
-        raise ValueError(f"{t} is not periodic with period dividing {p}")
+    if (r - 1) % den:
+        t = next(t for t in (base.lo, base.hi) if (r - 1) % t.denominator)
+        raise ValueError(f"{t} is not periodic with period dividing {base.period}")
     if a == b:
         raise ValueError("degenerate pair")
-    return p, a, b, den
+    return base.period, a, b, den
 
 
 def _digits(t: Angle) -> tuple[int, int, int, int]:
@@ -268,7 +288,8 @@ def window_at(pair: RayPair, j: int) -> ArcSet:
     """s_{n,j} = sigma^(j-1)(s_{n,1}): two arcs of length Delta_{n,j} < 1/2."""
     p = pair.period
     den, _, starts, dj = _window_at(_window(pair, j))
-    delta = _over(dj, den, p)
+    # den is odd, so dj = (b - a) 2^(j-1) shares gcd(b - a, den) with den
+    delta = _over(dj, den, p, pair._width_gcd)
     # both starts are 2^(j-1) a mod den (window_endpoints); _window_at has
     # shown the two arcs apart, so sorted by start they are canonical
     g = den // pair.lo.denominator
@@ -316,7 +337,7 @@ def subwindow(pair: RayPair, j: int) -> Subwindow:
     """
     p = pair.period
     den, _, starts, dj = _subwindow(_window(pair, j), p)
-    delta1 = _over(dj, den, 2 * p)
+    delta1 = _over(dj, den, 2 * p, pair._width_gcd)
     # every start is 2^(j-1) a mod den, as the window starts are
     g = den // pair.lo.denominator
     labels = ("lo_outer", "lo_inner", "hi_inner", "hi_outer")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renormray import circle
+from renormray import circle, towers
 from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
 from renormray.towers import (
     RABBIT_PAIR,
@@ -71,6 +72,14 @@ def test_rabbit_levels():
 def test_pair_words():
     assert pair_words(RayPair(2, Angle(1, 3), Angle(2, 3))) == ("01", "10")
     assert pair_words(RayPair(3, Angle(1, 7), Angle(2, 7))) == ("001", "010")
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_pair_words_rejects_period_below_one(period):
+    # period 0 once gave ('0', '0') and period -1 a "negative shift count"
+    with pytest.raises(ValueError) as exc:
+        pair_words(RayPair(period, Angle(1, 3), Angle(2, 3)))
+    assert str(exc.value) == "period must be >= 1"
 
 
 def test_tune_substitutes_words():
@@ -188,6 +197,129 @@ def test_invalid_pair_rejected():
             for derive in (window_endpoints, window_at, subwindow):
                 with pytest.raises(ValueError):
                     derive(bad, j)
+
+
+# pairs that fail check() or the width bound, or are degenerate, of period
+# 0 and with even denominators; every (k/(2^p - 1), l/(2^p - 1)), p <= 5,
+# valid or not; and pairs whose lo and hi have different reduced denominators
+HAND_BUILT_PAIRS = [
+    RayPair(2, Angle(1, 5), Angle(2, 3)),
+    RayPair(2, Angle(2, 3), Angle(1, 3)),
+    RayPair(3, Angle(1, 7), Angle(6, 7)),
+    RayPair(2, Angle(1, 4), Angle(3, 4)),
+    RayPair(3, Angle(1, 6), Angle(5, 12)),
+    RayPair(4, Angle(2, 5), Angle(3, 5) + Fraction(1, 1 << 40)),
+    RayPair(0, Angle(1, 3), Angle(2, 3)),
+    RayPair(4, Angle(1, 5), Angle(4, 15)),
+    RayPair(4, Angle(1, 3), Angle(2, 5)),
+    RayPair(6, Angle(1, 63), Angle(16, 21)),
+    RayPair(2, Angle(1, 6), Angle(1, 3)),
+] + [
+    RayPair(p, Angle(k, (1 << p) - 1), Angle(l, (1 << p) - 1))
+    for p in range(2, 6) for k in range((1 << p) - 1) for l in range((1 << p) - 1)
+]
+
+
+def _pair_queries(pair, n):
+    """Each pair query as a function of the tower's levels, pair being level n."""
+    p = max(pair.period, 1)
+    queries = [lambda levels: levels[n - 1].check(), lambda levels: levels[n - 1].width]
+    for j in range(1, p + 1):
+        queries += [lambda levels, j=j, d=d: d(levels[n - 1], j) for d in (window_at, window_endpoints, subwindow)]
+    for t in (pair.lo, Angle(1, 5)):
+        queries += [
+            lambda levels, t=t: in_shadow(t, Tower(levels), n, 1),
+            lambda levels, t=t: in_shadow(t, Tower(levels), n, p),
+            lambda levels, t=t: theta(Tower(levels), n, t),
+        ]
+    return queries
+
+
+def _tower_queries(depth):
+    def kc(levels, d):
+        shad = shadow_Kc(Tower(levels), d)
+        return shad.s, _outcome(shad.tau1.refine, 8), _outcome(shad.tau2.refine, 8)
+
+    return [lambda levels, d=d: kc(levels, d) for d in range(1, depth + 1)] + [lambda levels: validate(Tower(levels)).to_json()]
+
+
+def _fresh(levels):
+    return [RayPair(pair.period, pair.lo, pair.hi) for pair in levels]
+
+
+def _assert_record_keeps_results(levels, queries):
+    # each query fills the record of fresh levels, reads it on a second call,
+    # runs again on fresh equal levels and on the given ones (whose records
+    # tuning or earlier queries may have filled); values, or exception types
+    # and texts, agree, and an unreduced Fraction shows
+    for query in queries:
+        first = _fresh(levels)
+        runs = [_parts(_outcome(query, lv)) for lv in (first, first, _fresh(levels), levels)]
+        assert runs[0] == runs[1] == runs[2] == runs[3], (levels, runs[0])
+
+
+def test_record_keeps_tower_results():
+    for comb in (feigenbaum_tower(8), rabbit_tower(4)):
+        levels = list(comb.levels)
+        queries = [q for n, pair in enumerate(levels, start=1) for q in _pair_queries(pair, n)]
+        _assert_record_keeps_results(levels, queries)
+        for depth in range(1, comb.depth + 1):
+            _assert_record_keeps_results(levels[:depth], _tower_queries(depth))
+
+
+def test_record_keeps_hand_built_results():
+    for pair in HAND_BUILT_PAIRS:
+        _assert_record_keeps_results([pair], _pair_queries(pair, 1) + _tower_queries(1))
+    # the two-level hand-built tower of the lamination tests
+    levels = [RayPair(2, Angle(1, 3), Angle(2, 3)), RayPair(2, Angle(1, 6), Angle(1, 3))]
+    queries = [q for n, pair in enumerate(levels, start=1) for q in _pair_queries(pair, n)]
+    _assert_record_keeps_results(levels, queries + _tower_queries(2))
+
+
+def test_check_returns_a_copy_of_the_record():
+    pair = RayPair(2, Angle(1, 5), Angle(2, 3))
+    problems = pair.check()
+    assert problems == ["sigma^2(1/5) = 4/5 != 1/5"]
+    problems.append("edited")
+    problems.clear()
+    assert pair.check() == ["sigma^2(1/5) = 4/5 != 1/5"]
+
+
+def test_record_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(RayPair)] == ["period", "lo", "hi"]
+    filled, bare = feigenbaum_tower(3).level(2), RayPair(4, Angle(2, 5), Angle(3, 5))
+    window_at(filled, 1)
+    assert set(vars(filled)) == {"period", "lo", "hi", "_record", "_width_gcd"}
+    assert set(vars(bare)) == {"period", "lo", "hi"}
+    # perfbench's digests hash pairs and their reprs
+    assert filled == bare and hash(filled) == hash(bare) and repr(filled) == repr(bare)
+
+
+def test_record_runs_each_check_once(monkeypatch):
+    # the first window query pays 2^p mod den and gcd(b - a, den); later
+    # window, width and check queries on the pair read them from its record
+    level = feigenbaum_tower(6).level(6)
+    pair = RayPair(level.period, level.lo, level.hi)
+    width = level.hi.frac - level.lo.frac
+    calls = {"gcd": 0, "pow": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(math, "gcd", counting("gcd", math.gcd))
+    monkeypatch.setattr(towers, "pow", counting("pow", pow), raising=False)
+    window_at(pair, 1)
+    assert calls == {"gcd": 1, "pow": 1}
+    for j in (1, 2, 64):
+        window_at(pair, j)
+        subwindow(pair, j)
+        window_endpoints(pair, j)
+    assert (pair.check(), pair.width) == ([], width)
+    assert calls == {"gcd": 1, "pow": 1}
 
 
 def test_shadow_examples():
