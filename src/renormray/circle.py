@@ -200,19 +200,21 @@ def orbit_info(t: Angle) -> tuple[int, int]:
     return pre, _mult_order_2(den)
 
 
+def _digits(t: Angle) -> tuple[int, int, int, int]:
+    """(e, h, q, k) with t = (h + k/(2^q - 1))/2^e: t's e preperiodic and q periodic binary digits as integers."""
+    e, q = orbit_info(t)
+    odd = t.denominator >> e
+    h, rem = divmod(t.numerator, odd)
+    return e, h, q, rem * (((1 << q) - 1) // odd)
+
+
 def binary_words(t: Angle) -> tuple[str, str]:
     """Preperiodic and periodic blocks of the binary expansion of t.
 
     t = 0.(pre)(per)(per)... in base 2; for t = 0 the blocks are ('', '0').
     """
-    pre_len, per_len = orbit_info(t)
-    shifted = t.frac * 2**pre_len
-    head = int(shifted)  # integer part carries the preperiodic digits
-    frac = shifted - head
-    per_int = int(frac * (2**per_len - 1))
-    pre_bits = format(head, f"0{pre_len}b") if pre_len else ""
-    per_bits = format(per_int, f"0{per_len}b")
-    return pre_bits, per_bits
+    e, h, q, k = _digits(t)
+    return format(h, f"0{e}b") if e else "", format(k, f"0{q}b")
 
 
 def angle_from_words(pre_bits: str, per_bits: str) -> Angle:

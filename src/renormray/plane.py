@@ -490,9 +490,13 @@ def telescope_check(params: Params, x: complex, r: float, kappa: float, delta: f
     points on the boundary of B(f^(n_l)(x), r) back to time n_(l-1), and
     verifies the delta margin to the boundary of the previous disk.  Univalence is certified only
     heuristically (branch clearance of the critical value plus a simple
-    mapped-boundary polygon); the report says so.
+    mapped-boundary polygon); the report says so.  r > 0 and two times or more, else ValueError.
     """
     times = tuple(times)
+    if not r > 0:
+        raise ValueError(f"r must be > 0, not {r}")
+    if len(times) < 2:
+        raise ValueError("a telescope needs at least two times")
     if times[0] != 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing from 0")
     c = params.c

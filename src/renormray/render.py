@@ -47,6 +47,16 @@ def _pair(value, what):
     return value
 
 
+def _angle(value):
+    """A ray layer's angle: "p/q" text with a nonzero q, or a number other than a boolean."""
+    try:
+        if not isinstance(value, bool):
+            return Angle.parse(value) if isinstance(value, str) else Angle(Fraction(value))
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f'ray angle must be "p/q" with a nonzero q or a number, not {value!r}')
+
+
 def _grid(scene):
     import numpy as np
 
@@ -171,7 +181,7 @@ def render(scene: dict) -> bytes:
             band = np.abs(gz - level) < tol * level
             img[band] = color
         elif kind == "ray":
-            t = Angle.parse(layer["angle"]) if isinstance(layer["angle"], str) else Angle(Fraction(layer["angle"]))
+            t = _angle(layer["angle"])
             path = trace_ray(params, t, level_min=float(layer.get("level_min", 1e-6)))
             color = layer.get("color", [20, 140, 20])
             pix = [_to_px(p, geom) for p in path.points]

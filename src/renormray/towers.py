@@ -23,10 +23,10 @@ from .circle import (
     ArcSet,
     LimitAngle,
     _coprime,
+    _digits,
     _over,
     _text,
     angle_from_words,
-    orbit_info,
     sigma_pow,
 )
 from .lamination import _chord, _distinct, _orbit_ints, _witnesses
@@ -36,11 +36,11 @@ from .lamination import _chord, _distinct, _orbit_ints, _witnesses
 class RayPair:
     """A pair of angles 0 < lo < hi < 1, each fixed by sigma^period.
 
-    The fields are frozen, so a pair's checks run once per object: its
-    integers, 2^p mod den and check()'s problems are kept in a private record
-    by the first check, window, shadow or tuning query, and gcd(b - a, den)
-    by the first width or window value.  Neither is a field: equality,
-    hashing and repr see period, lo and hi only.
+    The fields are frozen, so a pair's criteria are tested once per object,
+    in a private record that every check, window, shadow, tuning and word
+    query reads: its integers, the angles sigma^p does not fix and check()'s
+    problems.  The first width or window value keeps gcd(b - a, den).
+    Neither is a field: equality, hashing and repr see period, lo and hi.
     """
 
     period: int
@@ -61,21 +61,18 @@ class RayPair:
         _valid(self)
 
     @cached_property
-    def _record(self) -> tuple[int, int, int, int | None, tuple[str, ...]]:
-        """(a, b, den, r, problems): _over_den()'s integers, r = 2^p mod den (None for a period below 1) and check()'s problems."""
+    def _record(self) -> tuple[int, int, int, tuple[Angle, ...] | None, tuple[str, ...]]:
+        """(a, b, den, unfixed, problems): _over_den()'s integers, the angles sigma^p does not fix (None for a period below 1) and check()'s problems."""
         a, b, den = _over_den(self)
         p = self.period
         if p < 1:
             return a, b, den, None, (f"period {p} < 1",)
         r = pow(2, p, den)
-        problems = []
-        if not 0 < a < b:
-            problems.append(f"angles not ordered: 0 < {self.lo} < {self.hi} < 1 fails")
-        for t in (self.lo, self.hi):
-            # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
-            if (r - 1) % t.denominator:
-                problems.append(f"sigma^{p}({t}) = {sigma_pow(t, p)} != {t}")
-        return a, b, den, r, tuple(problems)
+        # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
+        unfixed = tuple(t for t in (self.lo, self.hi) if (r - 1) % t.denominator)
+        problems = [] if 0 < a < b else [f"angles not ordered: 0 < {self.lo} < {self.hi} < 1 fails"]
+        problems += [f"sigma^{p}({t}) = {sigma_pow(t, p)} != {t}" for t in unfixed]
+        return a, b, den, unfixed, tuple(problems)
 
     @cached_property
     def _width_gcd(self) -> int:
@@ -96,13 +93,12 @@ def _over_den(pair: RayPair) -> tuple[int, int, int]:
     return pair.lo.numerator * (den // d0), pair.hi.numerator * (den // d1), den
 
 
-def _valid(pair: RayPair) -> tuple[int, int, int, int]:
-    """(a, b, den, r) of a valid renormalization pair, read from its record; ValueError otherwise."""
-    a, b, den, r, problems = pair._record
-    # the width (b - a)/den is below 1/2
+def _valid(pair: RayPair) -> tuple[int, int, int]:
+    """(a, b, den) of a pair read from its record: ordered, fixed by sigma^p (den | 2^p - 1), width below 1/2; else ValueError."""
+    a, b, den, _, problems = pair._record
     if problems or not 2 * (b - a) < den:
         raise ValueError("pair is not a valid renormalization pair: " + "; ".join(problems or ["width >= 1/2"]))
-    return a, b, den, r
+    return a, b, den
 
 
 @dataclass(frozen=True)
@@ -142,15 +138,10 @@ RABBIT_PAIR = RayPair(3, Angle(1, 7), Angle(2, 7))
 
 def pair_words(pair: RayPair) -> tuple[str, str]:
     """Length-p binary words of the two pair angles (denominators | 2^p - 1)."""
-    if pair.period < 1:
-        raise ValueError("period must be >= 1")
-    mod = (1 << pair.period) - 1
-    words = []
-    for t in (pair.lo, pair.hi):
-        if mod % t.frac.denominator != 0:
-            raise ValueError(f"{t} is not periodic with period dividing {pair.period}")
-        words.append(format(t.frac.numerator * (mod // t.frac.denominator), f"0{pair.period}b"))
-    return words[0], words[1]
+    p, a, b, den = _tuning(pair)
+    # lo = a/den is 0.(w) with w = lo (2^p - 1) = a (2^p - 1)/den, and likewise hi
+    m = ((1 << p) - 1) // den
+    return format(a * m, f"0{p}b"), format(b * m, f"0{p}b")
 
 
 def tune(base: RayPair, t: Angle) -> Angle:
@@ -159,32 +150,23 @@ def tune(base: RayPair, t: Angle) -> Angle:
     The tuned angle is computed from the pair's numerators and t's digit
     blocks as integers; no word is built (see _tune).
     """
-    return Angle(_tune(_tuning(base), _digits(t)))
+    ints = p, a, b, den = _tuning(base)
+    if a == b:
+        raise ValueError("degenerate pair")
+    return Angle(_tune(ints, _digits(t)))
 
 
 def _tuning(base: RayPair) -> tuple[int, int, int, int]:
-    """(p, a, b, den) of a pair tune() can substitute: lo = a/den and hi = b/den, den | 2^p - 1, lo != hi.
+    """(p, a, b, den) of a pair whose words are defined: lo = a/den and hi = b/den with den | 2^p - 1.
 
-    The periodicity test reads r = 2^p mod den from the pair's record, as check() does.
+    It reads the periodicity verdict of the pair's record, as check() does.
     """
-    a, b, den, r, _ = base._record
-    if r is None:
+    a, b, den, unfixed, _ = base._record
+    if unfixed is None:
         raise ValueError("period must be >= 1")
-    # den is the lcm of the two denominators, so it divides 2^p - 1 exactly when both do
-    if (r - 1) % den:
-        t = next(t for t in (base.lo, base.hi) if (r - 1) % t.denominator)
-        raise ValueError(f"{t} is not periodic with period dividing {base.period}")
-    if a == b:
-        raise ValueError("degenerate pair")
+    if unfixed:
+        raise ValueError(f"{unfixed[0]} is not periodic with period dividing {base.period}")
     return base.period, a, b, den
-
-
-def _digits(t: Angle) -> tuple[int, int, int, int]:
-    """(e, h, q, k) with t = (h + k/(2^q - 1))/2^e: t's e preperiodic and q periodic binary digits as integers."""
-    e, q = orbit_info(t)
-    odd = t.denominator >> e
-    h, rem = divmod(t.numerator, odd)
-    return e, h, q, rem * (((1 << q) - 1) // odd)
 
 
 def _spread(x: int, n: int, p: int) -> int:
@@ -250,8 +232,8 @@ def window_endpoints(pair: RayPair, j: int) -> tuple[Angle, Angle, Angle, Angle]
 
     The window s_{n,1} is [t, t'] u [t~', t~] with t' = t + Delta and
     t~' = t~ - Delta, Delta = (t~ - t)/2^p.  This is the one checked
-    derivation of a pair's windows: the pair is validated and sigma^p must
-    map t' to t~ and t~' to t exactly.
+    derivation of a pair's windows: the pair is validated, so sigma^p maps
+    t' to t~ and t~' to t exactly.
     """
     den, _, ends, _ = _window(pair, j)
     # with 2^p = 1 mod den, t and t~' are 2^(j-1) a and t' and t~ are 2^(j-1) b
@@ -269,11 +251,10 @@ def _window(pair: RayPair, j: int) -> tuple[int, int, list[int], int]:
     """
     if not 1 <= j <= pair.period:
         raise ValueError(f"j must lie in 1..{pair.period}")
-    a, b, den, r = _valid(pair)
+    a, b, den = _valid(pair)
+    # sigma^p maps t' = (a 2^p + c)/D to (a 2^p + c mod den)/den = t~, since
+    # den divides 2^p - 1 for a valid pair, and likewise t~' to t
     p, c = pair.period, b - a
-    # sigma^p(t') = 2^p (a 2^p + c) / (den 2^p) is (a 2^p + c mod den) / den, and likewise for t~'
-    if (a * r + c) % den != b or (b * r - c) % den != a:
-        raise ValueError("pair is not a valid renormalization pair: window endpoint check failed")
     D, k = den << p, j - 1
     ends = [(x << k) % D for x in (a << p, (a << p) + c, (b << p) - c, b << p)]
     return den, D, ends, c << k
@@ -299,8 +280,7 @@ def window_at(pair: RayPair, j: int) -> ArcSet:
 def _window_at(win) -> tuple[int, int, tuple[int, int], int]:
     """window_at() as integers from _window(pair, j): (den, D, the starts of the t and t~' components over D, dj)."""
     den, D, (t, t1, tt1, tt), dj = win
-    if not 2 * dj < D:
-        raise ValueError("inconsistent pair: window component length is not below 1/2")
+    # dj/D = (b - a) 2^(j-1)/(den 2^p) < 1/2, as 2(b - a) < den and j <= p;
     # sigma^(j-1) is injective on each component, so images are plain arcs
     if not (t1 == (t + dj) % D and tt == (tt1 + dj) % D):
         raise ValueError("inconsistent pair: window endpoint images are not plain arcs")
@@ -353,13 +333,16 @@ def _subwindow(win, p: int) -> tuple[int, int, tuple[int, int, int, int], int]:
     # sigma^p(x/E) = x/D mod 1
     E, host_len = D << p, dj << p
     starts = (t << p, ((t1 << p) - dj) % E, tt1 << p, ((tt << p) - dj) % E)
-    # lo_outer and hi_inner map onto the lo window, lo_inner and hi_outer onto the hi one
+    # lo_outer and hi_inner map onto the lo window, lo_inner and hi_outer onto
+    # the hi one: sigma^p maps x to the window's start and so x + dj to its end
     for x, target in zip(starts, (t, tt1, t, tt1)):
-        if x % D != target or (x + dj) % D != (target + dj) % D:
+        if x % D != target:
             raise ValueError("inconsistent pair: sub-window endpoint check failed")
+    # the arc [x, x + dj] lies in its host window exactly when it starts at most
+    # host_len - dj past the host's start, as 2 dj < D
     for x in starts:
         host = t if (x - (t << p)) % E <= host_len else tt1
-        if not ((x - (host << p)) % E <= host_len and (x + dj - (host << p)) % E <= host_len):
+        if (x - (host << p)) % E > host_len - dj:
             raise ValueError("inconsistent pair: sub-window leaves its window")
     if not _apart(starts, dj, E):
         raise ValueError("inconsistent pair: expected four sub-window components")

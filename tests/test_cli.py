@@ -344,6 +344,9 @@ MALFORMED_SCENES = [
     '{"c": [0, 0], "width": 4, "height": 4, "scale": NaN, "layers": [{"type": "julia"}]}',
     '{"c": [0, 0], "width": 4, "height": 4, "layers": [{"type": "equipotential", "level": NaN}]}',
     '{"c": [-1, 0], "width": 4, "height": 4, "layers": [{"type": "ray", "angle": "1/3", "level_min": 1e3}]}',
+    # a ray angle with denominator 0, and a boolean angle, which is not a number
+    '{"c": [-1, 0], "width": 4, "height": 4, "layers": [{"type": "ray", "angle": "1/0"}]}',
+    '{"c": [-1, 0], "width": 4, "height": 4, "layers": [{"type": "ray", "angle": true}]}',
     # geometry: a size that is not an integer >= 1, a scale that is not > 0,
     # a c, center or marked point that is not a pair, a julia layer that
     # iterates nothing
@@ -598,6 +601,19 @@ def test_ray_level_min_above_start_level_is_domain_error(capsys, level_min):
     assert code == 1
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--r", "0.3", "--times", "0"], "error: a telescope needs at least two times"),
+    (["--r", "0", "--times", "0,1"], "error: r must be > 0, not 0.0"),
+    (["--r", "-0.3", "--times", "0,1"], "error: r must be > 0, not -0.3"),
+])
+def test_telescope_without_a_stage_or_radius_is_domain_error(capsys, flags, line):
+    code = run(["telescope", "--c", "-2", "--x", "2", "--kappa", "0.5", "--delta", "0.01", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_aborted_ray_is_strict_json_and_exit_1(capsys):

@@ -410,6 +410,19 @@ def test_telescope_times_must_increase():
         telescope_check(Params(0), 1.0, 0.3, 0.5, 0.01, [0, 2, 1])
 
 
+@pytest.mark.parametrize("r, times, message", [
+    (0.3, [], "a telescope needs at least two times"),
+    (0.3, [0], "a telescope needs at least two times"),
+    (0.0, [0, 1], "r must be > 0, not 0.0"),
+    (-0.3, [0, 1], "r must be > 0, not -0.3"),
+    (math.nan, [0, 1], "r must be > 0, not nan"),
+])
+def test_telescope_needs_a_stage_and_a_positive_radius(r, times, message):
+    with pytest.raises(ValueError) as exc:
+        telescope_check(Params(-2), 2.0, r, 0.5, 0.01, times)
+    assert str(exc.value) == message
+
+
 def test_render_deterministic_and_ppm():
     scene = {
         "c": [0.0, 0.0],

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renormray import circle, towers
-from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, double, sigma_pow
+from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, angle_from_words, double, sigma_pow
 from renormray.towers import (
     RABBIT_PAIR,
     ComponentAddress,
@@ -218,6 +219,43 @@ HAND_BUILT_PAIRS = [
     RayPair(p, Angle(k, (1 << p) - 1), Angle(l, (1 << p) - 1))
     for p in range(2, 6) for k in range((1 << p) - 1) for l in range((1 << p) - 1)
 ]
+
+
+def test_pair_words_read_back_as_the_pair():
+    # the oracle: 0.(w) is lo exactly when w is lo's period-p word, read back
+    # by angle_from_words, which shares no code with pair_words
+    levels = [*feigenbaum_tower(8).levels, *rabbit_tower(4).levels]
+    periodic = 0
+    for pair in HAND_BUILT_PAIRS + levels:
+        p = pair.period
+        if p < 1 or any(((1 << p) - 1) % t.denominator for t in (pair.lo, pair.hi)):
+            with pytest.raises(ValueError):
+                pair_words(pair)
+            continue
+        w0, w1 = pair_words(pair)
+        assert len(w0) == len(w1) == p
+        assert angle_from_words("", w0) == pair.lo and angle_from_words("", w1) == pair.hi, pair
+        periodic += 1
+    # every level, five of the first eleven hand-built pairs and every pair over 2^p - 1
+    assert periodic == len(levels) + 5 + sum(((1 << p) - 1) ** 2 for p in range(2, 6))
+
+
+@pytest.mark.parametrize("pair, message", [
+    (RayPair(2, Angle(1, 3), Angle(1, 5)), "1/5 is not periodic with period dividing 2"),
+    (RayPair(2, Angle(1, 5), Angle(1, 7)), "1/5 is not periodic with period dividing 2"),
+    (RayPair(4, Angle(1, 6), Angle(1, 3)), "1/6 is not periodic with period dividing 4"),
+])
+def test_pair_words_rejects_an_angle_sigma_p_does_not_fix(pair, message):
+    # the first such angle is named, lo before hi
+    with pytest.raises(ValueError) as exc:
+        pair_words(pair)
+    assert str(exc.value) == message
+
+
+def test_pair_words_of_a_degenerate_pair():
+    # tune() rejects lo == hi; the words themselves are defined
+    assert pair_words(RayPair(4, Angle(1, 3), Angle(1, 3))) == ("0101", "0101")
+    assert pair_words(RayPair(2, Angle(0), Angle(0))) == ("00", "00")
 
 
 def _pair_queries(pair, n):
@@ -962,6 +1000,42 @@ def test_apart_counts_arcset_components(case):
     L, length, starts = case
     arcs = [Arc(Angle(x, L), Fraction(length, L)) for x in starts]
     assert _apart(starts, length, L) == (len(ArcSet(arcs)) == len(arcs))
+
+
+def _subwindow_verdict(win, p):
+    """_subwindow()'s checks as first written: each arc's start and end are tested apart."""
+    den, D, (t, t1, tt1, tt), dj = win
+    E, host_len = D << p, dj << p
+    starts = (t << p, ((t1 << p) - dj) % E, tt1 << p, ((tt << p) - dj) % E)
+    for x, target in zip(starts, (t, tt1, t, tt1)):
+        if x % D != target or (x + dj) % D != (target + dj) % D:
+            return "sub-window endpoint check failed"
+    for x in starts:
+        host = t if (x - (t << p)) % E <= host_len else tt1
+        if not ((x - (host << p)) % E <= host_len and (x + dj - (host << p)) % E <= host_len):
+            return "sub-window leaves its window"
+    if not _apart(starts, dj, E):
+        return "expected four sub-window components"
+    return starts
+
+
+def test_subwindow_checks_keep_their_verdicts():
+    # every window tuple over D = den 2^p with 2 dj < D, consistent or not:
+    # one comparison per check gives the verdicts of the two-sided tests
+    seen = set()
+    for den, p in [(3, 1), (5, 1), (3, 2)]:
+        D = den << p
+        for ends in itertools.product(range(D), repeat=4):
+            for dj in range(1, (D + 1) // 2):
+                win = (den, D, ends, dj)
+                expected = _subwindow_verdict(win, p)
+                try:
+                    got = towers._subwindow(win, p)[2]
+                except ValueError as exc:
+                    got = str(exc).removeprefix("inconsistent pair: ")
+                assert got == expected, (win, p)
+                seen.add(expected if isinstance(expected, str) else "ok")
+    assert len(seen) == 4
 
 
 def test_semiconjugacy_check_fails_on_a_complemented_theta(monkeypatch):
