@@ -43,10 +43,7 @@ class Angle:
     @classmethod
     def parse(cls, text: str) -> "Angle":
         """Parse 'p/q' or 'p' into an angle."""
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(_int(num), _int(den))
-        return cls(_int(text))
+        return cls(_rational(text))
 
     @property
     def numerator(self) -> int:
@@ -92,6 +89,14 @@ def _text(num: int, den: int = 1) -> str:
         from decimal import Decimal  # prints an integer of any length exactly
 
         return _text(Decimal(num), Decimal(den))
+
+
+def _rational(text: str) -> Fraction:
+    """The exact rational 'p/q' or 'p' of decimal integers, not reduced mod 1."""
+    if "/" in text:
+        num, den = text.split("/", 1)
+        return Fraction(_int(num), _int(den))
+    return Fraction(_int(text))
 
 
 def _int(text: str) -> int:
@@ -168,10 +173,11 @@ def sigma_pow(t: Angle, m: int) -> Angle:
 
 
 def preimages(t: Angle) -> tuple[Angle, Angle]:
-    """The two preimages t/2 and t/2 + 1/2 under doubling, ordered by value."""
-    a = Angle(t.frac / 2)
-    b = Angle(t.frac / 2 + HALF)
-    return (a, b) if a < b else (b, a)
+    """The preimages t/2 < t/2 + 1/2 under doubling: for t = n/d, m/(2d) with m = n, n + d, reduced as m/2 over d for an even m."""
+    n, d = t.frac.numerator, t.frac.denominator
+    m = n + d
+    return (Angle(_coprime(n, d << 1) if n & 1 else _coprime(n >> 1, d)),
+            Angle(_coprime(m, d << 1) if m & 1 else _coprime(m >> 1, d)))
 
 
 def _mult_order_2(m: int) -> int:

@@ -14,12 +14,11 @@ import cmath
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 # each cmd_* imports its own layers, so a call compiles only what its
 # subcommand runs
-from .circle import Angle
+from .circle import Angle, _rational, _text
 
 
 class DomainError(Exception):
@@ -102,7 +101,7 @@ def _parse(args, flag: str, convert):
 
 def _arc_json(arc) -> dict:
     """An arc as {"start", "length"} "p/q" strings (every emitted arc has 0 < length < 1)."""
-    return {"start": str(arc.start), "length": str(arc.length)}
+    return {"start": str(arc.start), "length": _text(arc.length.numerator, arc.length.denominator)}
 
 
 def cmd_tower(args):
@@ -182,7 +181,7 @@ def cmd_validate(args):
 def cmd_rotset(args):
     from .rotation import minimal_rotation_set
 
-    nu = _parse(args, "nu", Fraction)
+    nu = _parse(args, "nu", _rational)
     if not 0 <= nu < 1:
         _usage_error(args, "--nu must lie in [0, 1)")
     _emit(minimal_rotation_set(nu).to_json(), args)

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, _over, _over_lcm
+from .circle import Angle, _coprime, _over_lcm, preimages
 
 _STROKE_WIDTH = 0.004  # SVG stroke width of the circle and of every chord
 
@@ -46,27 +46,23 @@ def _linked(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return (a < c2[0] < b) != (a < c2[1] < b)
 
 
-def _orbit_ints(pair, N: int, factors: dict | None = None):
-    """Every (sigma^k lo, sigma^k hi), k = 0..period-1, as numerators over N.
+def _orbit_ints(pair, N: int):
+    """Every (sigma^k lo, sigma^k hi) as numerators over N, k = 0..period-1 or until sigma^k returns the pair to (lo, hi).
 
     N is a multiple of both angle denominators (in a tower, the lcm of the
     level denominators), so sigma is x -> 2x mod N, one shift and at most one
-    subtraction, and the walk builds no Fraction.  When N is odd and a
-    factors dict is passed, factors[x] is set to N // d for each endpoint x
-    of an angle of reduced denominator d: gcd(x, N), since doubling mod an
-    odd N keeps it.
+    subtraction, and the walk builds no Fraction.  Past a return it repeats.
     """
-    ga, gb = N // pair.lo.denominator, N // pair.hi.denominator
-    a, b = pair.lo.numerator * ga, pair.hi.numerator * gb
-    record = factors is not None and N & 1
+    a0 = a = pair.lo.numerator * (N // pair.lo.denominator)
+    b0 = b = pair.hi.numerator * (N // pair.hi.denominator)
     for _ in range(pair.period):
         if a == b:
             raise ValueError("chord endpoints must differ")
-        if record:
-            factors[a], factors[b] = ga, gb
         yield a, b
         a, b = a << 1, b << 1
         a, b = a - N if a >= N else a, b - N if b >= N else b
+        if a == a0 and b == b0:
+            return
 
 
 def _distinct(walk) -> list[tuple[int, int]]:
@@ -74,17 +70,28 @@ def _distinct(walk) -> list[tuple[int, int]]:
     return list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in walk))
 
 
-def _chord(c: tuple[int, int], N: int, factors: dict, e: int = 0) -> Chord:
-    """The Chord of sorted numerators over N 2^e; factors.get(x) is gcd(x, N), or None and one gcd runs."""
-    x, y = c
-    return Chord(Angle(_over(x, N, e, factors.get(x))), Angle(_over(y, N, e, factors.get(y))))
+def _chord(c: tuple[int, int], N: int) -> Chord:
+    """The Chord of sorted numerators over N; each endpoint runs a gcd."""
+    return Chord(Angle(c[0], N), Angle(c[1], N))
+
+
+def _level_chords(pair, N: int) -> dict[tuple[int, int], Chord]:
+    """The distinct chords of pair's walk over N, sorted numerator pairs mapped to their Chords, in order of first appearance.
+
+    Doubling mod an odd N keeps gcd(x, N) = N // d for an endpoint x of an angle over d: its angle is x // (N // d) over d.
+    """
+    da, db = pair.lo.denominator, pair.hi.denominator
+    ga, gb, chords = N // da, N // db, {}
+    for a, b in _orbit_ints(pair, N):
+        c = (a, b) if a < b else (b, a)
+        if c not in chords:
+            chords[c] = Chord(Angle(_coprime(a // ga, da)), Angle(_coprime(b // gb, db))) if N & 1 else _chord(c, N)
+    return chords
 
 
 def orbit_chords(pair) -> list[Chord]:
     """Distinct chords {sigma^k(lo), sigma^k(hi)}, k = 0..period-1."""
-    N = math.lcm(pair.lo.denominator, pair.hi.denominator)
-    factors: dict = {}
-    return [_chord(c, N, factors) for c in _distinct(_orbit_ints(pair, N, factors))]
+    return list(_level_chords(pair, math.lcm(pair.lo.denominator, pair.hi.denominator)).values())
 
 
 def _crosses(ends: list, partners: list, chord: tuple[int, int]) -> bool:
@@ -107,8 +114,8 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     family built so far.  Endpoints are numerators over M = N 2^preimage_depth,
     N the lcm of the level denominators: a level endpoint is even until the
     last generation, and the preimages of x are x >> 1 and (x >> 1) + M/2.
-    When N is odd, doubling and the preimage step (2y = x mod N) keep each
-    endpoint's gcd with N, so the Chords are built without a gcd.
+    Each chord gets its Angles when it joins the family: a level chord's
+    from its walk, a preimage chord's from circle.preimages of its parent's.
     """
     if depth > len(comb.levels):
         raise ValueError("depth exceeds tower size")
@@ -116,44 +123,39 @@ def build(comb, depth: int, preimage_depth: int = 0) -> tuple[Chord, ...]:
     N = math.lcm(*(t.denominator for pair in levels for t in (pair.lo, pair.hi)))
     M = N << preimage_depth
     half = M >> 1
-    level_factors: dict = {}
-    family: dict[tuple[int, int], None] = {}  # insertion-ordered set
+    family: dict[tuple[int, int], Chord] = {}  # insertion-ordered
     ends, partners = [], []  # sorted endpoints of family, each with its chord's other endpoint
 
-    def add(c: tuple[int, int]) -> None:
-        family[c] = None
+    def add(c: tuple[int, int], chord: Chord) -> None:
+        family[c] = chord
         for x, y in (c, c[::-1]):
             k = bisect_left(ends, x)
             ends.insert(k, x)
             partners.insert(k, y)
 
     for pair in levels:
-        for x, y in _distinct(_orbit_ints(pair, N, level_factors)):
+        for (x, y), chord in _level_chords(pair, N).items():
             c = (x << preimage_depth, y << preimage_depth)
             if c not in family:
-                add(c)
-    # gcd(x, N) of each endpoint x over M (none is recorded for an even N)
-    factors = {x << preimage_depth: g for x, g in level_factors.items()}
-    frontier = list(family)
+                add(c, chord)
+    start = 0  # family's chords from start on are the last generation's
     for _ in range(preimage_depth):
-        new_frontier = []
-        for a, b in frontier:
-            # a < b, so a0 < b0 < a1 < b1
+        frontier, start = list(family.items())[start:], len(family)
+        for (a, b), chord in frontier:
+            # a < b, so a0 < b0 < a1 < b1, and preimages() lists t/2 first
             a0, b0 = a >> 1, b >> 1
             a1, b1 = a0 + half, b0 + half
-            for placed in (((a0, b0), (a1, b1)), ((a0, b1), (b0, a1))):
+            (A0, A1), (B0, B1) = preimages(chord.a), preimages(chord.b)
+            for placed, angles in ((((a0, b0), (a1, b1)), ((A0, B0), (A1, B1))),
+                                   (((a0, b1), (b0, a1)), ((A0, B1), (B0, A1)))):
                 if not any(_crosses(ends, partners, c) for c in placed) and not _linked(*placed):
                     break
             else:
-                raise ValueError(f"no unlinked preimage placement for {_chord((a, b), N, factors, preimage_depth)}")
-            factors[a0] = factors[a1] = factors.get(a)
-            factors[b0] = factors[b1] = factors.get(b)
-            for c in placed:
+                raise ValueError(f"no unlinked preimage placement for {chord}")
+            for c, (u, v) in zip(placed, angles):
                 if c not in family:
-                    add(c)
-                    new_frontier.append(c)
-        frontier = new_frontier
-    return tuple(_chord(c, N, factors, preimage_depth) for c in sorted(family))
+                    add(c, Chord(u, v))
+    return tuple(family[c] for c in sorted(family))
 
 
 def _nested(pairs) -> bool:

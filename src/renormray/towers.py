@@ -638,10 +638,9 @@ def validate(comb: Tower) -> ValidationReport:
         entries.append(CheckResult(check, level, passed, witness))
 
     def linkage(chords, limit=None):
-        # pass, and the first limit linked pairs as Chords over N; no factor
-        # is recorded, so each witness chord runs its own gcd
+        # pass, and the first limit linked pairs as Chords over N
         found = _witnesses(chords)[:limit]
-        return not found, "; ".join(f"{_chord(chords[i], N, {})} x {_chord(chords[k], N, {})}" for i, k in found)
+        return not found, "; ".join(f"{_chord(chords[i], N)} x {_chord(chords[k], N)}" for i, k in found)
 
     pair_ok = []
     for n, pair in enumerate(comb.levels, start=1):
@@ -673,22 +672,28 @@ def validate(comb: Tower) -> ValidationReport:
     for n, pair in enumerate(comb.levels, start=1):
         if not pair_ok[n - 1]:
             continue
+        # sigma^p fixes lo and hi, so the walk returns after m steps, m | p,
+        # and step k of k = 1..p - 1 repeats step k mod m (residue 0 included);
+        # S_n = (lo0, hi0) does not run across 0
         walk = list(_orbit_ints(pair, N))
-        # k runs to p - 1, as sigma^p fixes lo and hi; S_n = (lo0, hi0) does not run across 0
         lo0, hi0 = walk[0]
         width = hi0 - lo0
-        hits, short = [], []
-        for k, (a, b) in enumerate(walk[1:], start=1):
-            hits += [f"sigma^{k} hits {Angle(x, N)}" for x in (a, b) if lo0 < x < hi0]
+        marks = []  # (endpoints inside S_n, avoiding-arc note) of each step of the walk
+        for a, b in walk:
             # the points cut the circle into [u, v] and [v, u + 1]; an arc avoids
             # S_n when they share at most a point: [u, v] when it misses S_n,
             # [v, u + 1] when [u, v] holds it, and never both
             u, v = (a, b) if a < b else (b, a)
             avoiding = v - u if hi0 <= u or v <= lo0 else N - (v - u) if u <= lo0 and hi0 <= v else None
-            if avoiding is None:
-                short.append(f"k={k}: no arc avoids S_n interior")
-            elif avoiding < width:
-                short.append(f"k={k}: avoiding arc shorter than S_n")
+            note = "no arc avoids S_n interior" if avoiding is None else "avoiding arc shorter than S_n" if avoiding < width else ""
+            marks.append(([x for x in (a, b) if lo0 < x < hi0], note))
+        hits, short = [], []
+        if any(xs or note for xs, note in marks):
+            for k in range(1, pair.period):
+                xs, note = marks[k % len(walk)]
+                hits += [f"sigma^{k} hits {Angle(x, N)}" for x in xs]
+                if note:
+                    short.append(f"k={k}: {note}")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
         chords = _distinct(walk)
         all_chords += chords

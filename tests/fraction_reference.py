@@ -2,8 +2,10 @@
 
 These are the implementations that stepped and compared Fractions before
 the window derivation and the chord, itinerary and omega walks moved to
-numerators over one common denominator, and the string substitution that
-tuned angles before tune() computed them from the pair's numerators.  Tests
+numerators over one common denominator, the string substitution that
+tuned angles before tune() computed them from the pair's numerators, and
+the Fraction halving of preimages() before it built reduced angles from
+the numerator and denominator.  Tests
 compare the integer code against them for equal values, or equal exception
 types and texts.  The shadow and theta references read the windows from the
 Fraction derivation below, not from renormray.towers.
@@ -20,7 +22,6 @@ from renormray.circle import (
     angle_from_words,
     binary_words,
     double,
-    preimages,
     sigma_pow,
 )
 from renormray.lamination import Chord
@@ -54,6 +55,12 @@ def _ref_orbit_chords(pair):
     return list(seen)
 
 
+def _ref_preimages(t):
+    a = Angle(t.frac / 2)
+    b = Angle(t.frac / 2 + Fraction(1, 2))
+    return (a, b) if a < b else (b, a)
+
+
 def _ref_crosses(ends, partners, chord):
     a, b = chord.a.frac, chord.b.frac
     lo, hi = bisect_right(ends, a), bisect_left(ends, b)
@@ -81,8 +88,8 @@ def _ref_build(comb, depth, preimage_depth=0):
     for _ in range(preimage_depth):
         new_frontier = []
         for chord in frontier:
-            a0, a1 = preimages(chord.a)
-            b0, b1 = preimages(chord.b)
+            a0, a1 = _ref_preimages(chord.a)
+            b0, b1 = _ref_preimages(chord.b)
             pairings = ((Chord(a0, b0), Chord(a1, b1)), (Chord(a0, b1), Chord(a1, b0)))
             placed = None
             for cand in pairings:

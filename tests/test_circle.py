@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from renormray.circle import (
     Angle,
@@ -23,7 +23,7 @@ from renormray.circle import (
 )
 from renormray.towers import RayPair, feigenbaum_tower, rabbit_tower, subwindow, window_at, window_endpoints
 
-from fraction_reference import int_refiner
+from fraction_reference import _ref_preimages, int_refiner
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
@@ -73,11 +73,21 @@ def test_sigma_pow_matches_repeated_doubling(u, m):
 
 
 @given(rationals)
+@example(Fraction(0))
+@example(Fraction(2, 7))
+@example(Fraction(3, 7))
+@example(Fraction(5, 12))
+@example(Fraction(1, 2))
 def test_preimages_double_back(u):
+    # odd and even denominators, t = 0, and both parities of the numerator
+    # over an odd denominator; each preimage is built reduced, without a gcd
     t = Angle(u)
     a, b = preimages(t)
     assert double(a) == t and double(b) == t
     assert (a.frac - b.frac) % 1 == Fraction(1, 2)
+    assert (a, b) == _ref_preimages(t)
+    for s in (a, b):
+        assert math.gcd(s.numerator, s.denominator) == 1 and 0 <= s.numerator < s.denominator
 
 
 def test_orbit_info_examples():

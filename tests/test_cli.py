@@ -279,6 +279,9 @@ TWO_LEVELS = '[{"period": 2, "lo": "1/3", "hi": "2/3"}, {"period": 4, "lo": "2/5
 MALFORMED_VALUES = [
     ["rotset", "--nu", "abc"],
     ["rotset", "--nu", "1/0"],
+    # --nu is "p/q" of decimal integers, not any text that Fraction() reads
+    ["rotset", "--nu", "0.5"],
+    ["rotset", "--nu", "1e-1"],
     ["ray", "--c", "abc", "--t", "1/3"],
     ["ray", "--c", "-1", "--t", "1/0"],
     ["theta", "--tower", "feigenbaum", "--depth", "1", "--level", "1", "--t", "abc"],
@@ -698,8 +701,9 @@ def test_numpy_loads_only_for_array_subcommands(tmp_path):
 
 
 # Integers of these towers have more than 4300 decimal digits, which Python
-# refuses to convert to or from str unless the limit is lifted; the CLI lifts
-# it in main(), so these run as the renormray process does.
+# refuses to convert to or from str unless the limit is lifted.  main() lifts
+# it for speed, but every angle and arc length prints through circle._text,
+# so run() prints the same bytes in-process, under the limit.
 DEEP_ARGVS = [
     ["tower", "--tower", "feigenbaum", "--depth", "15"],
     ["window", "--tower", "feigenbaum", "--depth", "14", "--level", "14", "--j", "1"],
@@ -714,10 +718,11 @@ def _renormray(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", DEEP_ARGVS, ids=["tower", "window", "shadow_kc"])
-def test_deep_towers_print_strict_json(tmp_path, argv):
+def test_deep_towers_print_strict_json(tmp_path, capsys, argv):
     proc = _renormray(tmp_path, argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert _strict_json(proc.stdout)
+    assert invoke(capsys, *argv) == (0, proc.stdout)
 
 
 def test_deep_tower_reads_back(tmp_path):

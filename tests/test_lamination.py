@@ -1,11 +1,11 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from renormray.circle import Angle
-from renormray import lamination
 from renormray.lamination import Chord, build, export_svg, linked, orbit_chords, verify_unlinked
 from renormray.towers import RayPair, Tower, feigenbaum_tower, rabbit_tower, validate
 
@@ -165,10 +165,10 @@ def _endpoint_parts(derive, *args):
     return [(t.numerator, t.denominator) for c in derive(*args) for t in (c.a, c.b)]
 
 
-def test_chord_endpoints_equal_gcd_reduced_angles(monkeypatch):
-    # build and orbit_chords reduce each endpoint by its gcd with an odd N,
-    # read off the level angles; with lamination._over running the full gcd
-    # they build Angle(x, M).  The hand-built towers have lo and hi over
+def test_chord_endpoints_equal_gcd_reduced_angles():
+    # build and orbit_chords give every endpoint its angle without a gcd,
+    # read off the level angles or halved by preimages(); each must come out
+    # reduced and in [0, 1).  The hand-built towers have lo and hi over
     # different reduced denominators (N odd) or an even denominator.
     combs = [feigenbaum_tower(d) for d in range(1, 9)] + [rabbit_tower(d) for d in range(1, 5)]
     combs += [
@@ -179,9 +179,9 @@ def test_chord_endpoints_equal_gcd_reduced_angles(monkeypatch):
     ]
     cases = [(build, comb, comb.depth, pre) for comb in combs for pre in range(5)]
     cases += [(orbit_chords, pair) for comb in combs for pair in comb.levels]
-    got = [_endpoint_parts(*case) for case in cases]
-    monkeypatch.setattr(lamination, "_over", lambda x, den, e, g=None: Fraction(x, den << e))
-    assert got == [_endpoint_parts(*case) for case in cases]
+    for case in cases:
+        for num, den in _endpoint_parts(*case):
+            assert math.gcd(num, den) == 1 and 0 <= num < den, (case, num, den)
 
 
 BUILD_CASES = [("F4", pre) for pre in range(6)] + [("R3", pre) for pre in range(3)] + [("F6", pre) for pre in range(2)]

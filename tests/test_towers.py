@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from renormray import circle, towers
 from renormray.circle import HALF, Angle, Arc, ArcSet, LimitAngle, angle_from_words, double, sigma_pow
+from renormray.lamination import _orbit_ints, build, orbit_chords
 from renormray.towers import (
     RABBIT_PAIR,
     ComponentAddress,
@@ -38,6 +39,7 @@ from renormray.towers import (
 )
 
 from fraction_reference import (
+    _ref_build,
     _ref_check,
     _ref_tune,
     _ref_in_shadow,
@@ -794,6 +796,33 @@ def test_validate_witnesses_over_the_tower_lcm(swap):
     assert {("orbit_exclusion", n), ("unlinked_chords", n), ("min_length_2inf", n), ("unlinked_across_levels", 0)} <= failed
     exclusion = next(e for e in report if e["check"] == "orbit_exclusion" and e["level"] == n)
     assert exclusion["witness"] == "sigma^1 hits 2/15; sigma^3 hits 2/15"
+
+
+# pairs whose period is a multiple of their own: the walks return after
+# their own period m and repeat; (1/15, 4/15) has orbit witnesses, and the
+# wide (1/5, 4/5) reports its avoiding arc at k = m, the residue 0
+REPEATING_PAIRS = [(8, "1/15", "4/15"), (12, "1/15", "4/15"), (8, "1/5", "4/5"), (4, "1/3", "2/3"),
+                   (6, "1/7", "2/7"), (8, "2/5", "3/5"), (9, "1/7", "6/7")]
+
+
+@pytest.mark.parametrize("period, lo, hi", REPEATING_PAIRS, ids=[f"{p}-{lo}-{hi}" for p, lo, hi in REPEATING_PAIRS])
+def test_walks_of_a_multiple_period_match_fraction_reference(period, lo, hi):
+    pair = RayPair(period, Angle.parse(lo), Angle.parse(hi))
+    towers = [Tower((pair,)), Tower((feigenbaum_tower(1).level(1), pair))]
+    for comb in towers:
+        assert validate(comb).to_json() == _ref_validate(comb)
+        for pre in range(3):
+            assert _outcome(build, comb, comb.depth, pre) == _outcome(_ref_build, comb, comb.depth, pre)
+    assert orbit_chords(pair) == _ref_orbit_chords(pair)
+
+
+def test_validate_of_a_huge_period_is_that_of_its_own_period():
+    # sigma^2 returns (1/3, 2/3), so a period of 10^12 walks two steps
+    huge, own = (RayPair(p, Angle(1, 3), Angle(2, 3)) for p in (10**12, 2))
+    assert list(itertools.islice(_orbit_ints(huge, 3), 3)) == [(1, 2), (2, 1)]
+    assert validate(Tower((huge,))).to_json() == validate(Tower((own,))).to_json()
+    assert build(Tower((huge,)), 1, 2) == build(Tower((own,)), 1, 2)
+    assert orbit_chords(huge) == orbit_chords(own)
 
 
 def _parts(value):
