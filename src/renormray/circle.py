@@ -157,6 +157,62 @@ def _over(x: int, den: int, e: int, g: int | None = None) -> Fraction:
     return _coprime(x // g, (den // g) << (e - v))
 
 
+# builtin divmod is schoolbook division on Python 3.11; below this width of
+# divisor or quotient, in bits, it is also the faster one (cutoffs of 2,500
+# to 4,000 bits time alike, and below 2,000 the recursion costs more)
+_DIV_CUTOFF = 4000
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b), by Burnikel-Ziegler recursive division when b and the quotient are both wide.
+
+    Long division in base 2^n, n the width of b: with r < b, each step
+    divides r 2^n plus the next n-bit digit of a, a number below b 2^n, by b
+    (Burnikel and Ziegler, Fast Recursive Division, MPI-I-98-1-022, 1998).
+    """
+    n = b.bit_length()
+    if a < 0 or b < 0 or n <= _DIV_CUTOFF or a.bit_length() - n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for i in range(a.bit_length() // n * n, -1, -n):
+        d, r = _div2n1n(r << n | (a >> i) & mask, b, n)
+        q = q << n | d
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b 2^n: two 3-halves-by-2-halves steps."""
+    if a.bit_length() - n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    if n & 1:  # an even width splits b in halves; doubling a and b keeps the quotient
+        q, r = _div2n1n(a << 1, b << 1, n + 1)
+        return q, r >> 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 2^h + a3, b) for b = b1 2^h + b2 with b1 of exactly h bits and a12 < b 2^h.
+
+    The quotient estimate from a12 / b1 is at most 2 too large; the loop
+    corrects it.  When a12's top half equals b1 the estimate is 2^h - 1.
+    """
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def double(t: Angle) -> Angle:
     """The doubling map t -> 2t mod 1."""
     return Angle(2 * t.frac)
@@ -181,13 +237,19 @@ def preimages(t: Angle) -> tuple[Angle, Angle]:
 
 
 def _mult_order_2(m: int) -> int:
-    """Multiplicative order of 2 modulo odd m (order 1 when m == 1)."""
+    """Multiplicative order of 2 modulo odd m (order 1 when m == 1).
+
+    Each step doubles r < m by a shift and at most one subtraction, as
+    lamination._orbit_ints steps sigma, with no division.
+    """
     if m == 1:
         return 1
     r = 2 % m
     k = 1
     while r != 1:
-        r = (2 * r) % m
+        r <<= 1
+        if r >= m:
+            r -= m
         k += 1
     return k
 
@@ -211,7 +273,7 @@ def _digits(t: Angle) -> tuple[int, int, int, int]:
     e, q = orbit_info(t)
     odd = t.denominator >> e
     h, rem = divmod(t.numerator, odd)
-    return e, h, q, rem * (((1 << q) - 1) // odd)
+    return e, h, q, rem * _divmod((1 << q) - 1, odd)[0]
 
 
 def binary_words(t: Angle) -> tuple[str, str]:
@@ -424,15 +486,15 @@ class LimitAngle:
         s, l, den, e = self._arc_for_bits(nbits)
         # floor(s 2^n / (den 2^e)) and floor((s + l) 2^n / (den 2^e)), mod 2^n.
         # The power of two 2^(n - e) goes into s as a shift, so the one wide
-        # division is by den alone; the second floor is the first plus the
-        # carry of the remainder, with any digits shifted out of s, over the
-        # length
+        # division is by den alone, and _divmod runs it recursively; the
+        # second floor is the first plus the carry of the remainder, with any
+        # digits shifted out of s, over the length
         k = e - nbits
         if k > 0:
-            lo, r = divmod(s >> k, den)
+            lo, r = _divmod(s >> k, den)
             hi = lo + ((r << k) + (s & ((1 << k) - 1)) + l) // (den << k)
         else:
-            lo, r = divmod(s << -k, den)
+            lo, r = _divmod(s << -k, den)
             hi = lo + (r + (l << -k)) // den
         # when the arc straddles a dyadic boundary report the upper cell,
         # which is still within 2^-nbits of the limit

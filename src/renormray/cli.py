@@ -35,10 +35,13 @@ def _complex(text: str) -> complex:
 def _tower(args):
     from .towers import Tower, feigenbaum_tower, rabbit_tower
 
-    if args.depth < 0:
+    if args.depth is not None and args.depth < 0:
         _usage_error(args, f"--depth {args.depth} is negative")
-    if args.tower in ("feigenbaum", "rabbit") and not args.depth:
-        _usage_error(args, f"--tower {args.tower} needs --depth")
+    if args.tower in ("feigenbaum", "rabbit"):
+        if args.depth is None:
+            _usage_error(args, f"--tower {args.tower} needs --depth")
+        if args.depth < 1:
+            _usage_error(args, f"--tower {args.tower} needs --depth of at least 1, not {args.depth}")
     if args.tower == "feigenbaum":
         return feigenbaum_tower(args.depth)
     if args.tower == "rabbit":
@@ -46,7 +49,7 @@ def _tower(args):
     levels = _parse(args, "tower", _tower_levels)
     if not levels:
         _usage_error(args, "--tower lists no levels")
-    if args.depth > len(levels):
+    if args.depth is not None and args.depth > len(levels):
         _usage_error(args, f"--depth {args.depth} exceeds the {len(levels)} levels of --tower")
     return Tower(tuple(levels[: args.depth] if args.depth else levels))
 
@@ -66,7 +69,7 @@ def _period(value) -> int:
 
 def _add_tower_flags(p, need_level=False):
     p.add_argument("--tower", required=True, help="'feigenbaum', 'rabbit', or JSON [{period, lo, hi}, ...]")
-    p.add_argument("--depth", type=int, default=0, help="tower depth (required for named towers)")
+    p.add_argument("--depth", type=int, help="tower depth (required for named towers)")
     if need_level:
         p.add_argument("--level", type=int, required=True, help="tower level n (1-based)")
 

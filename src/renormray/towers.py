@@ -24,6 +24,7 @@ from .circle import (
     LimitAngle,
     _coprime,
     _digits,
+    _divmod,
     _over,
     _text,
     angle_from_words,
@@ -140,7 +141,7 @@ def pair_words(pair: RayPair) -> tuple[str, str]:
     """Length-p binary words of the two pair angles (denominators | 2^p - 1)."""
     p, a, b, den = _tuning(pair)
     # lo = a/den is 0.(w) with w = lo (2^p - 1) = a (2^p - 1)/den, and likewise hi
-    m = ((1 << p) - 1) // den
+    m = _divmod((1 << p) - 1, den)[0]
     return format(a * m, f"0{p}b"), format(b * m, f"0{p}b")
 
 
@@ -186,7 +187,10 @@ def _tune(ints: tuple[int, int, int, int], digits: tuple[int, int, int, int]) ->
     (2^p - 1) psi(t) = (spread(h)(2^(pq) - 1) + spread(k)) / (R 2^(pe)).
     den and R are odd, and gcd(x, den R) = g1 gcd(x/g1, R) with
     g1 = gcd(x, den), so the reduction runs one gcd at den's size and one at
-    R's, not one at the size of 2^(pq) - 1.
+    R's, not one at the size of 2^(pq) - 1.  g1 starts with Euclid's first
+    step, gcd(x, den) = gcd(x mod den, den), taken by _divmod; when x mod den
+    is 0, as at every Feigenbaum level, g1 = den and that step's quotient is
+    x / g1, so neither the gcd nor a second division runs.
     """
     p, a, b, den = ints
     e, h, q, k = digits
@@ -194,8 +198,12 @@ def _tune(ints: tuple[int, int, int, int], digits: tuple[int, int, int, int]) ->
     sh = _spread(h, e, p)
     pe = p * e
     x = (a * R << pe) + (b - a) * ((sh << p * q) - sh + _spread(k, q, p))
-    g1 = math.gcd(x, den)
-    x //= g1
+    y, r = _divmod(x, den)
+    if r:
+        g1 = math.gcd(r, den)
+        x //= g1
+    else:
+        g1, x = den, y
     g2 = math.gcd(x, R)
     x //= g2
     v = min(pe, (x & -x).bit_length() - 1) if x else pe

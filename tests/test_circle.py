@@ -1,18 +1,23 @@
 import copy
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from renormray import circle
 from renormray.circle import (
     Angle,
     Arc,
     ArcSet,
     LimitAngle,
+    _DIV_CUTOFF,
     _coprime,
+    _divmod,
+    _mult_order_2,
     _over,
     angle_from_words,
     binary_words,
@@ -459,3 +464,65 @@ def test_coprime_fractions_behave_like_fraction():
     order = sorted(range(len(got)), key=want.__getitem__)
     assert sorted(range(len(got)), key=got.__getitem__) == order
     assert all(got[i] <= got[k] and not got[k] < got[i] for i, k in zip(order, order[1:]))
+
+
+def _divmod_cases():
+    # (a, b) pairs whose divisor and quotient widths straddle the cutoff,
+    # drawn from a fixed seed; odd and even divisor widths, at the top level
+    # and one recursion down, take and skip the pad shift
+    rng = random.Random(28)
+    C = _DIV_CUTOFF
+    widths = (C - 1, C, C + 1, C + 2, 2 * C + 1, 2 * C + 2, 2 * C + 3, 4 * C + 6)
+    cases = []
+    for nb in widths:
+        for qb in widths + (1, 3 * C + 5, 9 * C):
+            b = rng.getrandbits(nb) | 1 << (nb - 1)
+            cases.append((rng.getrandbits(nb + qb), b))
+    for nb in (C + 1, 2 * C + 2, 2 * C + 3):
+        b = rng.getrandbits(nb) | 1 << (nb - 1)
+        q = rng.getrandbits(nb + 7)
+        cases += [(0, b), (b - 1, b), (b, b), (q * b, b), (q * b - 1, b), (q * b + b - 1, b), (-q * b - 5, b), (q * b + 5, -b)]
+        cases += [(q, 1), (q * b, 1 << nb), (q * b + 1, 1 << nb)]
+        # b = 2^n - 1: the top half of each partial remainder equals b's top
+        # half, and the quotient estimate 2^h - 1 needs no division
+        m = (1 << nb) - 1
+        cases += [(m * m, m), (m << nb, m), ((m << nb) - 1, m), (m * q + m - 1, m), ((1 << 3 * nb) - 1, m)]
+    return cases
+
+
+def test_divmod_matches_builtin():
+    for a, b in _divmod_cases():
+        assert _divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
+    with pytest.raises(ZeroDivisionError):
+        _divmod(1 << 3 * _DIV_CUTOFF, 0)
+
+
+def test_divmod_recurses_exactly_when_divisor_and_quotient_are_wide(monkeypatch):
+    # builtin divmod gives the same values, so the path taken is counted
+    calls = []
+    recurse = circle._div2n1n
+    monkeypatch.setattr(circle, "_div2n1n", lambda *args: calls.append(args) or recurse(*args))
+    C = _DIV_CUTOFF
+    for nb, qb, wide in ((C, 3 * C, False), (3 * C, C, False), (C + 1, C + 2, True), (50, 9 * C, False)):
+        calls.clear()
+        a, b = (1 << (nb + qb)) - 12345, (1 << (nb - 1)) + 99
+        assert _divmod(a, b) == divmod(a, b)
+        assert bool(calls) == wide, (nb, qb)
+
+
+def _old_mult_order_2(m):
+    # the order of 2 modulo odd m stepped by (2 r) mod m, as it was computed
+    # before the walk doubled by a shift and one subtraction
+    if m == 1:
+        return 1
+    r, k = 2 % m, 1
+    while r != 1:
+        r, k = (2 * r) % m, k + 1
+    return k
+
+
+def test_mult_order_2_matches_the_division_step():
+    odd = [t.denominator for comb in (feigenbaum_tower(10), rabbit_tower(5))
+           for pair in comb.levels for t in (pair.lo, pair.hi)]
+    for m in odd + list(range(1, 2000, 2)):
+        assert _mult_order_2(m) == _old_mult_order_2(m), m

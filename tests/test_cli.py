@@ -307,6 +307,7 @@ MALFORMED_VALUES = [
     ["lamination", "--tower", "feigenbaum", "--depth", "2", "--preimage-depth", "-3"],
     ["tower", "--tower", "feigenbaum", "--depth", "-1"],
     ["tower", "--tower", "feigenbaum"],
+    ["tower", "--tower", "rabbit", "--depth", "0"],
 ]
 
 
@@ -327,6 +328,15 @@ def test_usage_error_prints_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth, message", [([], "--tower rabbit needs --depth\n"),
+                                            (["--depth", "0"], "--tower rabbit needs --depth of at least 1, not 0\n")])
+def test_named_tower_depth_message(capsys, depth, message):
+    # an omitted --depth and --depth 0 are told apart
+    with pytest.raises(SystemExit):
+        run(["tower", "--tower", "rabbit", *depth])
+    assert capsys.readouterr().err.endswith(message)
 
 
 MALFORMED_SCENES = [

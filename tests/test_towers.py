@@ -1215,7 +1215,8 @@ def test_omega_probe_matches_fraction_reference_on_wrapping_runs_and_last_window
 
 def test_deep_prefix_bits_runs_no_gcd_and_builds_no_fraction(monkeypatch):
     # README's omega example reads 65,548 digits of the F17 limit: one wide
-    # division and shifts on the refiner's integers, counted rather than timed
+    # division (circle._divmod) and shifts on the refiner's integers, counted
+    # rather than timed
     comb = feigenbaum_tower(17)
     tau1 = shadow_Kc(comb, 17).tau1
     want = LimitAngle(int_refiner(_ref_kc_refiners(comb)[0]), comb.depth).prefix_bits(65548)
@@ -1238,3 +1239,36 @@ def test_deep_prefix_bits_runs_no_gcd_and_builds_no_fraction(monkeypatch):
     assert during == {"gcd": 0, "Fraction": 0}
     assert calls == {"gcd": 1, "Fraction": 1}
     assert got == want
+
+
+def _substituted(words, start, times):
+    # the word start with each digit replaced by its word, times times; no division
+    table = {ord("0"): words[0], ord("1"): words[1]}
+    for _ in range(times):
+        start = start.translate(table)
+    return start
+
+
+def test_deep_limit_digits_equal_the_substitution_words():
+    # the widest divisions of the exact layer, checked digit by digit against
+    # string builds: F17's tau1 is the Thue-Morse word and tau2 its
+    # complement (Allouche-Shallit); R10's tau1 is the fixed point of
+    # 0 -> 001, 1 -> 010 from 0.  The rabbit tau2 is not the iterate from 1:
+    # 010 does not start with 1, so those iterates do not extend each other
+    swap = str.maketrans("01", "10")
+    thue_morse = "0"
+    while len(thue_morse) < 65548:
+        thue_morse += thue_morse.translate(swap)
+    shad = shadow_Kc(feigenbaum_tower(17), 1)
+    assert format(shad.tau1.prefix_bits(65548), "065548b") == thue_morse[:65548]
+    assert format(shad.tau2.prefix_bits(65548), "065548b") == thue_morse[:65548].translate(swap)
+    fixed = _substituted(("001", "010"), "0", 11)
+    assert format(shadow_Kc(rabbit_tower(10), 1).tau1.prefix_bits(88573), "088573b") == fixed[:88573]
+
+
+@pytest.mark.parametrize("make, d", [(feigenbaum_tower, 17), (rabbit_tower, 10)])
+def test_deep_pair_words_are_the_iterated_base_words(make, d):
+    # pair_words divides 2^p - 1 by the level's den, p = 2^17 and 3^10 digits
+    comb = make(d)
+    base = pair_words(comb.level(1))
+    assert pair_words(comb.level(d)) == (_substituted(base, "0", d), _substituted(base, "1", d))
