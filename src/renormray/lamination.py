@@ -21,9 +21,15 @@ class Chord:
 
     def __post_init__(self):
         a, b = self.a, self.b
-        if a == b:
+        fa, fb = a.frac, b.frac
+        da, db = fa.denominator, fb.denominator
+        # two fractions are equal exactly when their cross-product vanishes,
+        # and its sign orders them; over one denominator (both endpoints of
+        # a tower level's chords) it is the numerators' difference times it
+        cross = fa.numerator - fb.numerator if da == db else fa.numerator * db - fb.numerator * da
+        if not cross:
             raise ValueError("chord endpoints must differ")
-        if b < a:
+        if cross > 0:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 

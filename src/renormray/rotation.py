@@ -8,10 +8,11 @@ period-q orbits.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, Arc, double
+from .circle import Angle, Arc, _over_lcm
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,12 @@ def sturmian_word(p: int, q: int) -> str:
 
 
 def _cycle(k: int, mod: int) -> list[int]:
-    """Numerators over odd mod of the doubling orbit of k/mod, from k."""
+    """Numerators over odd mod of the doubling orbit of k/mod, from k; 0 <= k < mod."""
     orbit = [k]
-    while 2 * orbit[-1] % mod != k:
-        orbit.append(2 * orbit[-1] % mod)
+    x = 2 * k % mod
+    while x != k:
+        orbit.append(x)
+        x = 2 * x % mod
     return orbit
 
 
@@ -100,23 +103,17 @@ def rotation_number(points) -> Fraction | None:
     Returns k/n when doubling maps the n points onto themselves advancing the
     cyclic position by the constant step k; otherwise None.
     """
-    pts = tuple(sorted(set(points)))
-    if not pts:
+    L, nums = _over_lcm([t.frac for t in points])
+    xs = sorted(set(nums))  # the distinct points as numerators over L
+    if not xs:
         raise ValueError("empty set")
-    index = {t: i for i, t in enumerate(pts)}
-    n = len(pts)
-    step = None
-    for i, t in enumerate(pts):
-        image = double(t)
-        j = index.get(image)
-        if j is None:
-            return None
-        s = (j - i) % n
-        if step is None:
-            step = s
-        elif s != step:
-            return None
-    return Fraction(step, n)
+    images = [2 * x % L for x in xs]
+    # the step is the place of the first point's image; every image must sit
+    # that many places on
+    step = bisect_left(xs, images[0])
+    if images != xs[step:] + xs[:step]:
+        return None
+    return Fraction(step, len(xs))
 
 
 def minimal_enclosing_arc(points) -> tuple[Arc, bool]:

@@ -695,13 +695,20 @@ def validate(comb: Tower) -> ValidationReport:
             avoiding = v - u if hi0 <= u or v <= lo0 else N - (v - u) if u <= lo0 and hi0 <= v else None
             note = "no arc avoids S_n interior" if avoiding is None else "avoiding arc shorter than S_n" if avoiding < width else ""
             marks.append(([x for x in (a, b) if lo0 < x < hi0], note))
+        # a walk that returns after m < p steps names each witness once per
+        # residue of k mod m, in order of first k (residue 0 last, at k = m)
+        m = len(walk)
         hits, short = [], []
-        if any(xs or note for xs, note in marks):
-            for k in range(1, pair.period):
-                xs, note = marks[k % len(walk)]
+        for k in range(1, min(pair.period, m + 1)):
+            xs, note = marks[k % m]
+            if m == pair.period:
+                where = f"k={k}"
                 hits += [f"sigma^{k} hits {Angle(x, N)}" for x in xs]
-                if note:
-                    short.append(f"k={k}: {note}")
+            else:
+                where = f"k = {k % m} mod {m}"
+                hits += [f"sigma^k hits {Angle(x, N)} for {where}" for x in xs]
+            if note:
+                short.append(f"{where}: {note}")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
         chords = _distinct(walk)
         all_chords += chords

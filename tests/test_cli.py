@@ -225,6 +225,16 @@ def test_validate_reports_period_zero_level(capsys):
     assert not divisibility[2]["pass"]
 
 
+def test_validate_of_a_huge_period_with_orbit_witnesses_exits_1(capsys):
+    # sigma^4 returns (1/15, 4/15), so each witness is written once per
+    # residue of k mod 4 and the report does not grow with the period
+    tower = json.dumps([{"period": 10**12, "lo": "1/15", "hi": "4/15"}])
+    code, out = invoke(capsys, "validate", "--tower", tower)
+    assert code == 1
+    failed = {(e["check"], e["level"]) for e in json.loads(out)["checks"] if not e["pass"]}
+    assert ("orbit_exclusion", 1) in failed and ("min_length_2inf", 1) in failed
+
+
 def test_lamination_svg(tmp_path, capsys):
     out_file = tmp_path / "lam.svg"
     code, out = invoke(capsys, "lamination", "--tower", "feigenbaum", "--depth", "3", "--out", str(out_file))

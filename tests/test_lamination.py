@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,40 @@ def test_chord_canonical_order():
 def test_chord_rejects_degenerate():
     with pytest.raises(ValueError):
         Chord(Angle(1, 3), Angle(1, 3))
+
+
+def _ref_chord_ends(a, b):
+    """Chord's endpoints as first ordered: Fraction comparisons, None for equal angles."""
+    if a.frac == b.frac:
+        return None
+    return (b, a) if b.frac < a.frac else (a, b)
+
+
+def test_chord_order_matches_fraction_comparison():
+    # equal angles built unreduced and reduced, then seeded pairs over small
+    # and odd wide denominators, with shared denominators and endpoint 0
+    rng = random.Random(7)
+    pairs = [(Angle(2, 6), Angle(1, 3)), (Angle(1, 3), Angle(2, 6)), (Angle(0), Angle(5, 5)), (Angle(0), Angle(1, 2))]
+    for _ in range(3000):
+        dens = [rng.choice([1, 2, 3, 6, 7, 12, 15, 255, (1 << 61) - 1, (1 << 127) + 1]) for _ in range(2)]
+        if rng.random() < 0.3:
+            dens[1] = dens[0]
+        a, b = (Angle(rng.randrange(3 * d), d) for d in dens)
+        pairs.append((a, b))
+        pairs.append((a, Angle(a.numerator * 4, a.denominator * 4)))  # the same angle
+    equal = 0
+    for a, b in pairs:
+        ends = _ref_chord_ends(a, b)
+        if ends is None:
+            equal += 1
+            with pytest.raises(ValueError, match="^chord endpoints must differ$"):
+                Chord(a, b)
+        else:
+            c = Chord(a, b)
+            assert (c.a, c.b) == ends and (c.a.frac, c.b.frac) == (ends[0].frac, ends[1].frac)
+    assert equal > 3000
+    # the benchmark digests chords through their dataclass fields
+    assert [f.name for f in dataclasses.fields(Chord)] == ["a", "b"]
 
 
 def test_linked_examples():

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +10,7 @@ from renormray.rotation import (
     minimal_enclosing_arc,
     minimal_rotation_set,
     minimal_rotation_set_bruteforce,
+    _cycle,
     rotation_number,
     sturmian_word,
 )
@@ -120,3 +123,88 @@ def test_enclosing_arc_semicircle():
 def test_enclosing_arc_singleton():
     arc, fits = minimal_enclosing_arc((Angle(1, 3),))
     assert fits and arc.length == 0 and arc.start == Angle(1, 3)
+
+
+def _ref_rotation_number(points):
+    """rotation_number as first written: a dict of sorted Angles and double()."""
+    pts = tuple(sorted(set(points)))
+    if not pts:
+        raise ValueError("empty set")
+    index = {t: i for i, t in enumerate(pts)}
+    n = len(pts)
+    step = None
+    for i, t in enumerate(pts):
+        j = index.get(double(t))
+        if j is None:
+            return None
+        s = (j - i) % n
+        if step is None:
+            step = s
+        elif s != step:
+            return None
+    return Fraction(step, n)
+
+
+@pytest.mark.parametrize("den", [15, 31])
+def test_rotation_number_matches_reference_on_small_subsets(den):
+    # every subset of at most four angles k/den: orbits, unions of orbits and
+    # sets that doubling does not keep
+    angles = [Angle(k, den) for k in range(den)]
+    found = 0
+    for size in range(1, 5):
+        for pts in itertools.combinations(angles, size):
+            rho = rotation_number(pts)
+            assert rho == _ref_rotation_number(pts), pts
+            found += rho is not None
+    assert found  # some subsets are rotation sets
+
+
+def _orbit(k, mod):
+    return [Angle(x, mod) for x in _cycle(k, mod)]
+
+
+def test_rotation_number_matches_reference_on_mixed_sets():
+    # unions of orbits over several denominators, with duplicates, minimal
+    # rotation sets, and the same sets with a stray point or a point dropped
+    rng = random.Random(20261020)
+    dens = [1, 3, 7, 9, 15, 21, 31, 63, 127, 255, 1023]
+    rotation_sets = 0
+    for _ in range(600):
+        pts = []
+        for _ in range(rng.randint(1, 3)):
+            mod = rng.choice(dens)
+            pts += _orbit(rng.randrange(mod), mod)
+        if rng.random() < 0.3:
+            pts += minimal_rotation_set(rng.choice(_reduced(9))).points
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
+        rng.shuffle(pts)
+        variants = [pts, pts + [Angle(rng.randrange(1, 50), rng.choice([4, 6, 10, 17, 45]))], pts[1:]]
+        for variant in variants:
+            if variant:
+                rho = rotation_number(variant)
+                assert rho == _ref_rotation_number(variant), variant
+                rotation_sets += rho is not None
+    assert rotation_sets > 100
+
+
+def test_rotation_number_takes_any_iterable_and_rejects_empty():
+    pts = minimal_rotation_set(Fraction(2, 5)).points
+    assert rotation_number(iter(pts)) == rotation_number(list(pts)) == Fraction(2, 5)
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError, match="empty set"):
+            rotation_number(empty)
+
+
+def _ref_cycle(k, mod):
+    """_cycle as first written: two modular doublings per step."""
+    orbit = [k]
+    while 2 * orbit[-1] % mod != k:
+        orbit.append(2 * orbit[-1] % mod)
+    return orbit
+
+
+def test_cycle_matches_two_doubling_walk():
+    for q in range(1, 13):
+        mod = (1 << q) - 1
+        for k in range(mod):
+            assert _cycle(k, mod) == _ref_cycle(k, mod), (k, mod)

@@ -702,15 +702,20 @@ def _ref_validate(comb):
         interior = Arc(pair.lo, pair.width)
         hits, short = [], []
         a, b = pair.lo, pair.hi
-        for k in range(1, pair.period):
+        # sigma^m returns the pair first at m | p; when m < p, each residue of
+        # k mod m is named once, at its first k = 1..m
+        m = next(k for k in range(1, pair.period + 1) if (sigma_pow(a, k), sigma_pow(b, k)) == (a, b))
+        for k in range(1, min(pair.period, m + 1)):
             a, b = double(a), double(b)
-            hits += [f"sigma^{k} hits {x}" for x in (a, b) if 0 < (x.frac - pair.lo.frac) % 1 < pair.width]
+            where = f"k={k}" if m == pair.period else f"k = {k % m} mod {m}"
+            inside = [x for x in (a, b) if 0 < (x.frac - pair.lo.frac) % 1 < pair.width]
+            hits += [f"sigma^{k} hits {x}" if m == pair.period else f"sigma^k hits {x} for {where}" for x in inside]
             arcs = [Arc(a, (b.frac - a.frac) % 1), Arc(b, (a.frac - b.frac) % 1)]
             disjoint = [arc for arc in arcs if not overlaps(arc, interior)]
             if not disjoint:
-                short.append(f"k={k}: no arc avoids S_n interior")
+                short.append(f"{where}: no arc avoids S_n interior")
             elif any(arc.length < pair.width for arc in disjoint):
-                short.append(f"k={k}: avoiding arc shorter than S_n")
+                short.append(f"{where}: avoiding arc shorter than S_n")
         add("orbit_exclusion", n, not hits, "; ".join(hits))
         chords = _ref_orbit_chords(pair)
         all_chords += chords
@@ -823,6 +828,36 @@ def test_validate_of_a_huge_period_is_that_of_its_own_period():
     assert validate(Tower((huge,))).to_json() == validate(Tower((own,))).to_json()
     assert build(Tower((huge,)), 1, 2) == build(Tower((own,)), 1, 2)
     assert orbit_chords(huge) == orbit_chords(own)
+
+
+def _witness(report, check):
+    return next(e["witness"] for e in report if e["check"] == check)
+
+
+def test_validate_names_each_residue_of_a_returning_walk_once():
+    # sigma^4 returns (1/15, 4/15): at period 8 and 10^12 each witness of
+    # period 4 is named once for its residue of k mod 4, and not per k
+    own, twice, huge = (validate(Tower((RayPair(p, Angle(1, 15), Angle(4, 15)),))).to_json() for p in (4, 8, 10**12))
+    assert _witness(own, "orbit_exclusion") == "sigma^1 hits 2/15; sigma^3 hits 2/15"
+    assert _witness(twice, "orbit_exclusion") == "sigma^k hits 2/15 for k = 1 mod 4; sigma^k hits 2/15 for k = 3 mod 4"
+    assert _witness(twice, "min_length_2inf") == (
+        "k = 1 mod 4: no arc avoids S_n interior; k = 3 mod 4: no arc avoids S_n interior")
+    assert huge == twice
+    angles = [w.split(" for ")[0].split(" hits ")[1] for w in _witness(twice, "orbit_exclusion").split("; ")]
+    assert angles == [w.split(" hits ")[1] for w in _witness(own, "orbit_exclusion").split("; ")]
+    assert all(e["witness"].isascii() for e in twice)
+    # only the report of a walk shorter than the period changes form
+    assert [e for e in own if e["check"] not in ("orbit_exclusion", "min_length_2inf")] == [
+        e for e in twice if e["check"] not in ("orbit_exclusion", "min_length_2inf")]
+
+
+def test_validate_names_residue_zero_of_a_returning_walk():
+    # sigma^4 returns the wide (1/5, 4/5), whose own chord has an avoiding
+    # arc shorter than S_n: at period 8 residue 0 is named last, for k = 4
+    report = validate(Tower((RayPair(8, Angle(1, 5), Angle(4, 5)),))).to_json()
+    assert _witness(report, "min_length_2inf") == (
+        "k = 1 mod 4: no arc avoids S_n interior; k = 2 mod 4: avoiding arc shorter than S_n; "
+        "k = 3 mod 4: no arc avoids S_n interior; k = 0 mod 4: avoiding arc shorter than S_n")
 
 
 def _parts(value):
