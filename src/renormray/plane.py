@@ -43,15 +43,36 @@ def green(params: Params, z: complex) -> float:
     The exit rule, which _green_grid shares: stop at step n when |f^n(z)| >
     _GREEN_FAR, or when it exceeds the escape radius and n >= _GREEN_MIN_ITER;
     after _GREEN_MAX_ITER steps an orbit past the escape radius still counts.
+
+    An orbit is also stopped, with level 0, at its first exact repeat
+    (Brent's snapshots, BIT 20, 1980): the value at step _GREEN_MIN_ITER is
+    saved and re-saved at steps 50, 100, 200, ..., and each later value is
+    compared with it by ==.  This is exact: a repeat makes the orbit
+    periodic from the saved step on, and every value of that cycle has
+    already failed the exit test, which no longer changes before the cap and
+    is then only looser, so the capped loop would also return 0.0.
     """
+    c = params.c
+    radius = params.escape_radius
     w = complex(z)
-    for n in range(_GREEN_MAX_ITER):
+    for n in range(_GREEN_MIN_ITER):
         r = abs(w)
-        if r > _GREEN_FAR or (r > params.escape_radius and n >= _GREEN_MIN_ITER):
+        if r > _GREEN_FAR:
             return math.log(r) * 2.0 ** (-n)
-        w = w * w + params.c
+        w = w * w + c
+    bound = min(_GREEN_FAR, radius)
+    saved, save_at = w, 2 * _GREEN_MIN_ITER
+    for n in range(_GREEN_MIN_ITER, _GREEN_MAX_ITER):
+        r = abs(w)
+        if r > bound:
+            return math.log(r) * 2.0 ** (-n)
+        if n == save_at:
+            saved, save_at = w, 2 * n
+        w = w * w + c
+        if w == saved:
+            return 0.0
     r = abs(w)
-    if r > params.escape_radius:
+    if r > radius:
         return math.log(r) * 2.0 ** (-_GREEN_MAX_ITER)
     return 0.0
 
@@ -66,7 +87,10 @@ def _green_grid(params: Params, xs, ys):
     does.  numpy's complex product, np.abs and np.log do not: each differs
     from CPython in the last bit on some inputs.  The level of a pixel that
     stops at step n is green's own expression, math.log(abs(w)) * 2**-n, so
-    a modulus that overflows raises OverflowError as in green.
+    a modulus that overflows raises OverflowError as in green.  A pixel also
+    stops at level 0 at green's first exact repeat: its snapshot arrays sa,
+    sb hold the real and imaginary parts saved at the same steps as green's,
+    and a repeat is a == sa and b == sb.
     """
     import numpy as np
 
@@ -76,26 +100,37 @@ def _green_grid(params: Params, xs, ys):
     b = np.repeat(ys, len(xs))
     live = np.arange(a.size)
     out = np.zeros(a.size)
-    for n in range(_GREEN_MAX_ITER + 1):
-        if n < _GREEN_MIN_ITER:
-            bound = _GREEN_FAR
-        elif n < _GREEN_MAX_ITER:
-            bound = min(_GREEN_FAR, radius)
-        else:  # green's test after its last step
-            bound = radius
-        with np.errstate(over="ignore"):  # abs() below raises for these
+    sa, sb, save_at = a, b, _GREEN_MIN_ITER  # compared only after the save at step _GREEN_MIN_ITER
+    # only np.hypot can overflow: a live pixel has |a|, |b| <= _GREEN_FAR, and
+    # abs() below raises where hypot overflows
+    with np.errstate(over="ignore"):
+        for n in range(_GREEN_MAX_ITER + 1):
+            if n < _GREEN_MIN_ITER:
+                bound = _GREEN_FAR
+            elif n < _GREEN_MAX_ITER:
+                bound = min(_GREEN_FAR, radius)
+            else:  # green's test after its last step
+                bound = radius
             stop = np.hypot(a, b) > bound
-        if stop.any():
-            scale = 2.0 ** (-n)
-            out[live[stop]] = [math.log(abs(complex(x, y))) * scale
-                               for x, y in zip(a[stop].tolist(), b[stop].tolist())]
-            keep = ~stop
-            live, a, b = live[keep], a[keep], b[keep]
-        if n == _GREEN_MAX_ITER or not live.size:
-            break
-        ab = a * b
-        a = a * a - b * b + cr
-        b = ab + ab + ci
+            if stop.any():
+                scale = 2.0 ** (-n)
+                out[live[stop]] = [math.log(abs(complex(x, y))) * scale
+                                   for x, y in zip(a[stop].tolist(), b[stop].tolist())]
+                keep = ~stop
+                live, a, b, sa, sb = live[keep], a[keep], b[keep], sa[keep], sb[keep]
+            if n == _GREEN_MAX_ITER or not live.size:
+                break
+            if n == save_at:
+                sa, sb, save_at = a, b, 2 * n
+            ab = a * b
+            a = a * a - b * b + cr
+            b = ab + ab + ci
+            if n >= _GREEN_MIN_ITER:
+                rep = a == sa
+                if rep.any():  # rare unless the orbit repeats
+                    rep &= b == sb
+                    keep = ~rep
+                    live, a, b, sa, sb = live[keep], a[keep], b[keep], sa[keep], sb[keep]
     return out.reshape(len(ys), len(xs))
 
 
@@ -387,12 +422,13 @@ def expansion_report(params: Params, sample, m: int) -> ExpansionReport:
     (1+|z|^2)/(1+|f^m(z)|^2), applied exactly.  Escaping points are flagged
     and excluded.  Report only; no uniform-expansion claim is asserted.
     """
+    radius = params.escape_radius
     eu, sp = [], []
     excluded = 0
     for z0 in sample:
         z, d = _fn_and_derivative(complex(z0), m, params.c)
         # past the escape radius an orbit never returns; overflow reads inf or nan
-        if not abs(z) <= params.escape_radius:
+        if not abs(z) <= radius:
             excluded += 1
             continue
         de = abs(d)

@@ -21,7 +21,10 @@ equipotential layers each run one numpy pass over the whole grid that
 iterates only the pixels still live.  The equipotential levels come from
 plane._green_grid, which stops each orbit by green's exit rule (past
 _GREEN_FAR, or past the escape radius from step _GREEN_MIN_ITER on) and
-equals green bit for bit.
+equals green bit for bit.  Both layers also stop an orbit that does not
+escape at its first exact repeat (==), which leaves every pixel as the full
+iteration cap would: the repeated cycle has already failed an exit test
+that no longer changes.
 """
 
 from __future__ import annotations
@@ -76,7 +79,12 @@ def _escape_grid(c, xs, ys, max_iter):
     One numpy pass over the whole grid; each step iterates only the points
     still inside |z| <= 4.  numpy rounds an element the same whatever its
     position in the array, so the field does not depend on which other
-    points are still live.
+    points are still live.  A point also stops, with count 0, at its first
+    exact repeat: after its exit test each z_k is compared (==) with a value
+    saved at step 0 and re-saved at steps 1, 2, 4, 8, ...  This is exact,
+    since the test r > 4 does not depend on the step: a repeat makes the
+    orbit a cycle whose every value has failed it, so the capped loop would
+    never see that point escape.
     """
     import numpy as np
 
@@ -84,18 +92,22 @@ def _escape_grid(c, xs, ys, max_iter):
     live = np.arange(z.size)
     n = np.zeros(z.size, dtype=np.int32)
     mag = np.zeros(z.size)
-    for k in range(max_iter):
+    saved, save_at = z, 1
+    for k in range(1, max_iter + 1):
         z = z * z + c
         r = np.abs(z)
         esc = r > 4.0
-        if esc.any():
+        stop = esc | (z == saved)
+        if stop.any():
             hit = live[esc]
-            n[hit] = k + 1
+            n[hit] = k
             mag[hit] = r[esc]
-            keep = ~esc
-            live, z = live[keep], z[keep]
+            keep = ~stop
+            live, z, saved = live[keep], z[keep], saved[keep]
             if not live.size:
                 break
+        if k == save_at:
+            saved, save_at = z, 2 * k
     field = np.zeros(n.size)
     escaped = n > 0
     field[escaped] = n[escaped] + 1.0 - np.log2(np.maximum(np.log(np.maximum(mag[escaped], 1.0001)), 1e-12))

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -672,3 +673,160 @@ PINNED = [
 @pytest.mark.parametrize("compute, digest", [p[1:] for p in PINNED], ids=[p[0] for p in PINNED])
 def test_output_is_pinned(compute, digest):
     assert hashlib.sha256(repr(compute()).encode()).hexdigest()[:16] == digest
+
+
+# The capped loops that green, _green_grid and _escape_grid ran before they
+# stopped an orbit at its first exact repeat; the new code must equal them
+# bit for bit.
+def _ref_green(params, z):
+    w = complex(z)
+    for n in range(plane._GREEN_MAX_ITER):
+        r = abs(w)
+        if r > plane._GREEN_FAR or (r > params.escape_radius and n >= plane._GREEN_MIN_ITER):
+            return math.log(r) * 2.0 ** (-n)
+        w = w * w + params.c
+    r = abs(w)
+    if r > params.escape_radius:
+        return math.log(r) * 2.0 ** (-plane._GREEN_MAX_ITER)
+    return 0.0
+
+
+def _ref_green_grid(params, xs, ys):
+    radius = params.escape_radius
+    cr, ci = params.c.real, params.c.imag
+    a = np.tile(xs, len(ys))
+    b = np.repeat(ys, len(xs))
+    live = np.arange(a.size)
+    out = np.zeros(a.size)
+    for n in range(plane._GREEN_MAX_ITER + 1):
+        if n < plane._GREEN_MIN_ITER:
+            bound = plane._GREEN_FAR
+        elif n < plane._GREEN_MAX_ITER:
+            bound = min(plane._GREEN_FAR, radius)
+        else:
+            bound = radius
+        with np.errstate(over="ignore"):
+            stop = np.hypot(a, b) > bound
+        if stop.any():
+            scale = 2.0 ** (-n)
+            out[live[stop]] = [math.log(abs(complex(x, y))) * scale
+                               for x, y in zip(a[stop].tolist(), b[stop].tolist())]
+            keep = ~stop
+            live, a, b = live[keep], a[keep], b[keep]
+        if n == plane._GREEN_MAX_ITER or not live.size:
+            break
+        ab = a * b
+        a = a * a - b * b + cr
+        b = ab + ab + ci
+    return out.reshape(len(ys), len(xs))
+
+
+def _ref_escape_grid(c, xs, ys, max_iter):
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    live = np.arange(z.size)
+    n = np.zeros(z.size, dtype=np.int32)
+    mag = np.zeros(z.size)
+    for k in range(max_iter):
+        z = z * z + c
+        r = np.abs(z)
+        esc = r > 4.0
+        if esc.any():
+            hit = live[esc]
+            n[hit] = k + 1
+            mag[hit] = r[esc]
+            keep = ~esc
+            live, z = live[keep], z[keep]
+            if not live.size:
+                break
+    field = np.zeros(n.size)
+    escaped = n > 0
+    field[escaped] = n[escaped] + 1.0 - np.log2(np.maximum(np.log(np.maximum(mag[escaped], 1.0001)), 1e-12))
+    return field.reshape(len(ys), len(xs))
+
+
+# float orbits land on exact cycles at 0, -1, -2 (0 -> -2 -> 2 -> 2), i and the
+# rabbit; -0.75 and 1/4 are parabolic, with no exact cycle before the cap
+REPEAT_CS = {
+    "0": 0,
+    "-1": -1.0,
+    "-1-0i": complex(-1.0, -0.0),
+    "-2": -2.0,
+    "i": 1j,
+    "rabbit": complex(-0.12256116687665362, 0.7448617666197442),
+    "-0.75": -0.75,
+    "1/4": 0.25,
+    "|c|>2": 2.5 + 0.5j,
+}
+SIGNED_ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-1.0, -0.0), complex(-0.0, 1.0)]
+
+
+def _repeat_points():
+    grid = np.linspace(-2.2, 2.2, 23)
+    return [complex(x, y) for y in grid for x in grid] + SIGNED_ZEROS + [0.1, 2.5, 1e17, 3e18]
+
+
+@pytest.mark.parametrize("c", REPEAT_CS.values(), ids=REPEAT_CS.keys())
+def test_green_equals_capped_loop_bitwise(c):
+    params = Params(c)
+    for z in _repeat_points():
+        assert struct.pack("<d", green(params, z)) == struct.pack("<d", _ref_green(params, z)), z
+
+
+REPEAT_GRIDS = dict(KERNEL_GRIDS)
+for _name, _c in REPEAT_CS.items():
+    REPEAT_GRIDS[f"{_name}-whole"] = (_c, np.linspace(-2.2, 2.2, 23), np.linspace(-1.6, 1.6, 17))
+    REPEAT_GRIDS[f"{_name}-signed_zeros"] = (_c, np.array([-0.0, 0.0, -1.0, 0.5]), np.array([0.0, -0.0, 1.0]))
+# z_1 = -1/2 - i/2 keeps the real part of z_0 = -1/2 + i, and the orbit escapes
+REPEAT_GRIDS["real_part_kept"] = (0.25 + 0.5j, np.array([-0.5]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("c, xs, ys", REPEAT_GRIDS.values(), ids=REPEAT_GRIDS.keys())
+def test_green_grid_equals_capped_loop_bitwise(c, xs, ys):
+    got = plane._green_grid(Params(c), xs, ys)
+    want = _ref_green_grid(Params(c), xs, ys)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("c, xs, ys", REPEAT_GRIDS.values(), ids=REPEAT_GRIDS.keys())
+@pytest.mark.parametrize("max_iter", [64, 256, 1000])
+def test_escape_grid_equals_capped_loop_bitwise(c, xs, ys, max_iter):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _escape_grid(c, xs, ys, max_iter)
+        want = _ref_escape_grid(c, xs, ys, max_iter)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class _CountingC(complex):
+    """A parameter c that counts the steps w * w + c taken with it."""
+
+    steps = 0
+
+    def __radd__(self, other):
+        self.steps += 1
+        return complex.__radd__(self, other)
+
+
+def test_green_stops_at_the_first_repeat():
+    # the orbit of 0.1 lands on the basilica's float cycle 0 <-> -1; the
+    # capped loop takes all 2,048 steps
+    c = _CountingC(-1.0)
+    assert struct.pack("<d", green(Params(c), 0.1)) == struct.pack("<d", 0.0)
+    assert c.steps < 64
+    # an escaping orbit keeps its steps and its level
+    c = _CountingC(-1.0)
+    assert green(Params(c), 2.5) == _ref_green(Params(-1.0), 2.5)
+    assert c.steps == 6
+
+
+def test_green_grid_repeat_needs_both_parts(monkeypatch):
+    # at c = 1/4 + i/2 the orbit -1/2 + i -> -1/2 - i/2 -> 1/4 + i -> ... keeps
+    # its real part for one step and then escapes; with snapshots from step 0,
+    # real parts alone would call that step a repeat
+    monkeypatch.setattr(plane, "_GREEN_MIN_ITER", 0)
+    params = Params(0.25 + 0.5j)
+    level = green(params, -0.5 + 1j)
+    assert level > 0
+    assert level == _ref_green(params, -0.5 + 1j)
+    assert plane._green_grid(params, np.array([-0.5]), np.array([1.0]))[0, 0] == level
