@@ -49,8 +49,9 @@ def green(params: Params, z: complex) -> float:
     saved and re-saved at steps 50, 100, 200, ..., and each later value is
     compared with it by ==.  This is exact: a repeat makes the orbit
     periodic from the saved step on, and every value of that cycle has
-    already failed the exit test, which no longer changes before the cap and
-    is then only looser, so the capped loop would also return 0.0.
+    already failed the exit test |w| > min(_GREEN_FAR, escape radius), which
+    no longer changes before the cap and is only stricter after it, so the
+    capped loop would also return 0.0.
     """
     c = params.c
     radius = params.escape_radius

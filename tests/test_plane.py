@@ -675,9 +675,9 @@ def test_output_is_pinned(compute, digest):
     assert hashlib.sha256(repr(compute()).encode()).hexdigest()[:16] == digest
 
 
-# The capped loops that green, _green_grid and _escape_grid ran before they
-# stopped an orbit at its first exact repeat; the new code must equal them
-# bit for bit.
+# The capped loop that green ran before it stopped an orbit at its first exact
+# repeat; green and _green_grid must equal it bit for bit, and _escape_grid
+# must equal the capped _ref_escape_rows above.
 def _ref_green(params, z):
     w = complex(z)
     for n in range(plane._GREEN_MAX_ITER):
@@ -689,59 +689,6 @@ def _ref_green(params, z):
     if r > params.escape_radius:
         return math.log(r) * 2.0 ** (-plane._GREEN_MAX_ITER)
     return 0.0
-
-
-def _ref_green_grid(params, xs, ys):
-    radius = params.escape_radius
-    cr, ci = params.c.real, params.c.imag
-    a = np.tile(xs, len(ys))
-    b = np.repeat(ys, len(xs))
-    live = np.arange(a.size)
-    out = np.zeros(a.size)
-    for n in range(plane._GREEN_MAX_ITER + 1):
-        if n < plane._GREEN_MIN_ITER:
-            bound = plane._GREEN_FAR
-        elif n < plane._GREEN_MAX_ITER:
-            bound = min(plane._GREEN_FAR, radius)
-        else:
-            bound = radius
-        with np.errstate(over="ignore"):
-            stop = np.hypot(a, b) > bound
-        if stop.any():
-            scale = 2.0 ** (-n)
-            out[live[stop]] = [math.log(abs(complex(x, y))) * scale
-                               for x, y in zip(a[stop].tolist(), b[stop].tolist())]
-            keep = ~stop
-            live, a, b = live[keep], a[keep], b[keep]
-        if n == plane._GREEN_MAX_ITER or not live.size:
-            break
-        ab = a * b
-        a = a * a - b * b + cr
-        b = ab + ab + ci
-    return out.reshape(len(ys), len(xs))
-
-
-def _ref_escape_grid(c, xs, ys, max_iter):
-    z = (xs[None, :] + 1j * ys[:, None]).ravel()
-    live = np.arange(z.size)
-    n = np.zeros(z.size, dtype=np.int32)
-    mag = np.zeros(z.size)
-    for k in range(max_iter):
-        z = z * z + c
-        r = np.abs(z)
-        esc = r > 4.0
-        if esc.any():
-            hit = live[esc]
-            n[hit] = k + 1
-            mag[hit] = r[esc]
-            keep = ~esc
-            live, z = live[keep], z[keep]
-            if not live.size:
-                break
-    field = np.zeros(n.size)
-    escaped = n > 0
-    field[escaped] = n[escaped] + 1.0 - np.log2(np.maximum(np.log(np.maximum(mag[escaped], 1.0001)), 1e-12))
-    return field.reshape(len(ys), len(xs))
 
 
 # float orbits land on exact cycles at 0, -1, -2 (0 -> -2 -> 2 -> 2), i and the
@@ -782,8 +729,9 @@ REPEAT_GRIDS["real_part_kept"] = (0.25 + 0.5j, np.array([-0.5]), np.array([1.0])
 
 @pytest.mark.parametrize("c, xs, ys", REPEAT_GRIDS.values(), ids=REPEAT_GRIDS.keys())
 def test_green_grid_equals_capped_loop_bitwise(c, xs, ys):
-    got = plane._green_grid(Params(c), xs, ys)
-    want = _ref_green_grid(Params(c), xs, ys)
+    params = Params(c)
+    got = plane._green_grid(params, xs, ys)
+    want = np.array([[_ref_green(params, complex(x, y)) for x in xs] for y in ys])
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -793,7 +741,7 @@ def test_green_grid_equals_capped_loop_bitwise(c, xs, ys):
 def test_escape_grid_equals_capped_loop_bitwise(c, xs, ys, max_iter):
     with np.errstate(over="ignore", invalid="ignore"):
         got = _escape_grid(c, xs, ys, max_iter)
-        want = _ref_escape_grid(c, xs, ys, max_iter)
+        want = _ref_escape_rows(c, xs, ys, max_iter)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
