@@ -7,8 +7,6 @@ subcommand uses.
 """
 
 import importlib
-import sys
-import types
 
 _EXPORTS = {
     "circle": (
@@ -20,11 +18,11 @@ _EXPORTS = {
         "BetaResult", "Params", "RayPath", "TelescopeReport", "beta_point", "expansion_report",
         "feigenbaum_parameter", "green", "periodic_points", "telescope_check", "trace_ray",
     ),
-    "render": ("render",),
     "rotation": (
         "RotationSet", "minimal_enclosing_arc", "minimal_rotation_set", "minimal_rotation_set_bruteforce",
         "rotation_number", "sturmian_word",
     ),
+    "scene": ("render",),
     "towers": (
         "ComponentAddress", "KcShadow", "RayPair", "Subwindow", "ThetaResult", "Tower", "ValidationReport",
         "feigenbaum_tower", "in_shadow", "omega_probe", "pair_words", "rabbit_tower", "self_tuned_tower",
@@ -47,19 +45,8 @@ def _resolve(name):
     return value
 
 
-__getattr__ = _resolve  # PEP 562
+def _names():
+    return sorted(set(globals()) | set(_HOME))
 
 
-class _Package(types.ModuleType):
-    def __setattr__(self, name, value):
-        # importing renormray.render binds the submodule as an attribute of
-        # the package; the re-exported function keeps the name
-        if name in _HOME and isinstance(value, types.ModuleType) and value.__name__ == f"{__name__}.{name}":
-            return
-        super().__setattr__(name, value)
-
-    def __dir__(self):
-        return sorted(set(super().__dir__()) | set(_HOME))
-
-
-sys.modules[__name__].__class__ = _Package
+__getattr__, __dir__ = _resolve, _names  # PEP 562

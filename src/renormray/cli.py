@@ -307,14 +307,14 @@ def _read_scene(path: str):
 
 
 def cmd_render(args):
-    from .render import render as render_scene
+    from .scene import render
 
     # an unreadable file is an OSError (exit 1); a scene that does not decode,
     # lacks a key or has invalid geometry is a usage error; an ArithmeticError
     # while computing a well-formed scene is a numerical failure (exit 1)
     scene = _parse(args, "scene", _read_scene)
     try:
-        data = render_scene(scene)
+        data = render(scene)
     except (ValueError, KeyError, TypeError) as exc:
         _usage_error(args, f"--scene {args.scene!r} does not parse: {exc!r}")
     with open(args.out, "wb") as fh:

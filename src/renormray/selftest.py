@@ -82,13 +82,14 @@ def check_window_algebra() -> Check:
     for n in range(1, _WINDOW_DEPTH + 1):
         pair = comb.level(n)
         p = pair.period
-        for comp in window_at(pair, 1).arcs:
-            if comp.length != pair.width / (1 << p):
-                return Check("window_algebra", False, f"level {n}: wrong component length")
         for j in range(1, p + 1):
             delta = window_length(pair, j)
             if any(comp.length != delta for comp in window_at(pair, j).arcs):
                 return Check("window_algebra", False, f"level {n}, j={j}: Delta differs from the arcs of s_(n,j)")
+            # both of the above read the pair's integer window; the width
+            # formula does not
+            if delta != pair.width / (1 << (p - j + 1)):
+                return Check("window_algebra", False, f"level {n}, j={j}: Delta differs from width / 2^(p - j + 1)")
             # subwindow() itself raises if any sigma^p endpoint image is off or
             # the four arcs meet
             if any(a.length != delta / (1 << p) for a in subwindow(pair, j).arcs):

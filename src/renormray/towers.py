@@ -63,8 +63,10 @@ class RayPair:
 
     @cached_property
     def _record(self) -> tuple[int, int, int, tuple[Angle, ...] | None, tuple[str, ...]]:
-        """(a, b, den, unfixed, problems): _over_den()'s integers, the angles sigma^p does not fix (None for a period below 1) and check()'s problems."""
-        a, b, den = _over_den(self)
+        """(a, b, den, unfixed, problems): lo = a/den and hi = b/den over their least common denominator, the integers of every window and check; the angles sigma^p does not fix (None for a period below 1); check()'s problems."""
+        d0, d1 = self.lo.denominator, self.hi.denominator
+        den = d0 if d0 == d1 else math.lcm(d0, d1)
+        a, b = self.lo.numerator * (den // d0), self.hi.numerator * (den // d1)
         p = self.period
         if p < 1:
             return a, b, den, None, (f"period {p} < 1",)
@@ -80,18 +82,6 @@ class RayPair:
         """gcd(b - a, den): the factor that reduces the width, and every window length of a valid pair."""
         a, b, den = self._record[:3]
         return math.gcd(b - a, den)
-
-
-def _over_den(pair: RayPair) -> tuple[int, int, int]:
-    """(a, b, den) with lo = a/den and hi = b/den over their least common denominator.
-
-    The exact layer derives a pair's windows and checks on these integers:
-    window endpoints are numerators over den 2^p, and sigma is a shift and a
-    reduction, so no Fraction is built or reduced until a value is returned.
-    """
-    d0, d1 = pair.lo.denominator, pair.hi.denominator
-    den = d0 if d0 == d1 else math.lcm(d0, d1)
-    return pair.lo.numerator * (den // d0), pair.hi.numerator * (den // d1), den
 
 
 def _valid(pair: RayPair) -> tuple[int, int, int]:
@@ -269,8 +259,9 @@ def _window(pair: RayPair, j: int) -> tuple[int, int, list[int], int]:
 
 
 def window_length(pair: RayPair, j: int) -> Fraction:
-    """Component length Delta_{n,j} = (t~ - t) / 2^(p - j + 1)."""
-    return pair.width / (1 << (pair.period - j + 1))
+    """Component length Delta_{n,j} = (t~ - t) / 2^(p - j + 1), read from _window()."""
+    den, _, _, dj = _window(pair, j)
+    return _over(dj, den, pair.period, pair._width_gcd)
 
 
 def window_at(pair: RayPair, j: int) -> ArcSet:
@@ -416,28 +407,29 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
 
     tau1 = lim t_n and tau2 = lim t~_n are returned as nested-arc limits over
     the left and right window components; the component length at level n is
-    (t~_n - t_n)/2^(p_n), which shrinks to zero.  With t_n = a/den and
-    t~_n = b/den over their common denominator, the refiners return the
-    components as integers over den 2^(p_n), so refining runs no gcd.
+    (t~_n - t_n)/2^(p_n), which shrinks to zero.  Every level's s_{n,1} is
+    read from _window_at(_window(pair, 1)), so each level is checked as
+    window_at checks it, and the refiners return its components as the
+    integers (start, c, den, p) over den 2^p with c = b - a, so refining runs
+    no gcd.
     """
     if not 1 <= depth <= comb.depth:
         raise ValueError("depth exceeds tower size")
-    # the level-n component length is (b_n - a_n) / D_n with D_n = den_n 2^(p_n)
-    ints = [(*_over_den(pair), pair.period) for pair in comb.levels]
-    lengths = [(b - a, den << p) for a, b, den, p in ints]
+    # per level (den, D = den 2^p, the starts of [t, t'] and [t~', t~], c)
+    wins = [_window_at(_window(pair, 1)) for pair in comb.levels]
     for n in range(1, comb.depth):
-        (c0, d0), (c1, d1) = lengths[n - 1], lengths[n]
+        (_, d0, _, c0), (_, d1, _, c1) = wins[n - 1], wins[n]
         if not c1 * d0 < c0 * d1:
             raise ValueError(f"window components do not shrink from level {n} to level {n + 1}")
 
-    # the level-m components [lo, lo + Delta] and [hi - Delta, hi] over den 2^p, unreduced
+    # the level-m components [t, t'] and [t~', t~] over den 2^p, unreduced
     def left(m: int) -> tuple[int, int, int, int]:
-        a, b, den, p = ints[m - 1]
-        return a << p, b - a, den, p
+        den, _, (t, _), c = wins[m - 1]
+        return t, c, den, comb.levels[m - 1].period
 
     def right(m: int) -> tuple[int, int, int, int]:
-        a, b, den, p = ints[m - 1]
-        return ((b << p) - (b - a)) % (den << p), b - a, den, p
+        den, _, (_, tt1), c = wins[m - 1]
+        return tt1, c, den, comb.levels[m - 1].period
 
     tau1 = LimitAngle(left, max_depth=comb.depth)
     tau2 = LimitAngle(right, max_depth=comb.depth)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,11 @@ HOMES = {
         "BetaResult", "Params", "RayPath", "TelescopeReport", "beta_point", "expansion_report",
         "feigenbaum_parameter", "green", "periodic_points", "telescope_check", "trace_ray",
     ],
-    "render": ["render"],
     "rotation": [
         "RotationSet", "minimal_enclosing_arc", "minimal_rotation_set", "minimal_rotation_set_bruteforce",
         "rotation_number", "sturmian_word",
     ],
+    "scene": ["render"],
     "towers": [
         "ComponentAddress", "KcShadow", "RayPair", "Subwindow", "ThetaResult", "Tower", "ValidationReport",
         "feigenbaum_tower", "in_shadow", "omega_probe", "pair_words", "rabbit_tower", "self_tuned_tower",
@@ -80,14 +81,21 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert resolved == []
 
 
-def test_render_submodule_import_first_keeps_the_function():
+def test_scene_submodule_import_first_keeps_the_function():
     # the import binds the submodule on the package before the name was ever read
     assert fresh(
         "import json, sys, types\n"
-        "import renormray.render\n"
+        "import renormray.scene\n"
         "print(json.dumps([isinstance(renormray.render, types.ModuleType),"
-        " renormray.render is sys.modules['renormray.render'].render]))"
-    ) == [False, True]
+        " renormray.render is sys.modules['renormray.scene'].render,"
+        " renormray.scene is sys.modules['renormray.scene']]))"
+    ) == [False, True, True]
+
+
+def test_package_is_a_plain_module():
+    # PEP 562's module-level __getattr__ and __dir__ serve the lazy names, so
+    # the package needs no ModuleType subclass
+    assert type(renormray) is types.ModuleType
 
 
 def test_star_import_binds_the_public_names():

@@ -57,6 +57,18 @@ def test_validate_failure_exit_code(capsys):
     assert not json.loads(out)["pass"]
 
 
+def test_kc_shadow_of_a_tower_with_an_invalid_level_exits_1(capsys):
+    # level 1 is not periodic of period 2; every level is checked, not just the top one
+    levels = [{"period": 2, "lo": "1/5", "hi": "2/5"}, {"period": 4, "lo": "6/15", "hi": "9/15"},
+              {"period": 8, "lo": "106/255", "hi": "149/255"}]
+    code = run(["shadow", "--tower", json.dumps(levels), "--kc", "--bits", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: pair is not a valid renormalization pair: sigma^2(1/5)")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("period", ["2", "2.0", '"2"'])
 def test_integral_periods_parse(capsys, period):
     # an integral JSON number or a digit string is a period
@@ -162,7 +174,7 @@ def test_memory_error_is_exit_1_without_traceback(monkeypatch, tmp_path, capsys,
     def out_of_memory(scene):
         raise MemoryError(message)
 
-    monkeypatch.setattr(importlib.import_module("renormray.render"), "render", out_of_memory)
+    monkeypatch.setattr(importlib.import_module("renormray.scene"), "render", out_of_memory)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"c": [0, 0], "width": 100000, "height": 100000, "layers": [{"type": "julia"}]}))
     code = run(["render", "--scene", str(scene), "--out", str(tmp_path / "img.ppm")])
@@ -700,8 +712,8 @@ PROBE_GROUPS = [  # (modules, numpy, [(argv, exit code), ...])
     (FLOAT, True, [(["periodic", "--c", "0", "--m", "2"], 0)]),
     ([*EXACT, "renormray.plane"], True, [(["beta", "--c", "-1", "--tower", "feigenbaum", "--depth", "1",
                                            "--level", "1"], 0)]),
-    ([*FLOAT, "renormray.render"], False, [(["render", "--scene", "no-such-scene.json", "--out", "x.ppm"], 1)]),
-    ([*FLOAT, "renormray.render"], True, [(["render", "--scene", "scene.json", "--out", "img.ppm"], 0)]),
+    ([*FLOAT, "renormray.scene"], False, [(["render", "--scene", "no-such-scene.json", "--out", "x.ppm"], 1)]),
+    ([*FLOAT, "renormray.scene"], True, [(["render", "--scene", "scene.json", "--out", "img.ppm"], 0)]),
 ]
 
 

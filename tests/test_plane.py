@@ -20,7 +20,7 @@ from renormray.plane import (
     telescope_check,
     trace_ray,
 )
-from renormray.render import _draw_segment, _escape_grid, _grid, render
+from renormray.scene import _draw_segment, _escape_grid, _grid, render
 from renormray.towers import feigenbaum_tower
 
 ALPHA = (1 - math.sqrt(5)) / 2

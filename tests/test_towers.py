@@ -50,6 +50,7 @@ from fraction_reference import (
     _ref_verify_unlinked,
     _ref_window_at,
     _ref_window_endpoints,
+    _ref_window_length,
     _ref_subwindow,
     int_refiner,
     outcome as _outcome,
@@ -889,18 +890,25 @@ def _exact_period_pairs(max_p):
                     yield pair
 
 
+def _ref_checked_window_length(pair, j):
+    # the Fraction formula, behind the checks of the Fraction window derivation
+    _ref_window_endpoints(pair, j)
+    return _ref_window_length(pair, j)
+
+
 def test_window_fractions_match_fraction_reference_by_parts():
     # window and sub-window starts share gcd(a, den) with den and t', t~
     # share gcd(b, den); these differ from 1 only where lo and hi have
-    # different reduced denominators
+    # different reduced denominators; j = 0 and j = p + 1 raise
     mixed = 0
     for pair in _exact_period_pairs(6):
         mixed += pair.lo.denominator != pair.hi.denominator
-        for j in sorted({1, 2, pair.period}):
+        for j in sorted({0, 1, 2, pair.period, pair.period + 1}):
             for derive, ref in (
                 (window_endpoints, _ref_window_endpoints),
                 (window_at, _ref_window_at),
                 (subwindow, _ref_subwindow),
+                (window_length, _ref_checked_window_length),
             ):
                 assert _parts(_outcome(derive, pair, j)) == _parts(_outcome(ref, pair, j)), (pair, j, derive)
     assert mixed == 934
@@ -923,16 +931,26 @@ def _kc_towers():
     yield Tower((feigenbaum_tower(1).level(1), RayPair(4, Angle(1, 4), Angle(3, 8))))
 
 
-def test_kc_shadow_with_invalid_lower_level_matches_fraction_reference():
-    # the refiners read levels that no call validates; their unreduced
-    # integers are compared as the Fractions they stand for
-    refined = 0
+def test_kc_shadow_with_an_invalid_level_raises_window_at_error():
+    # every level's s_{n,1} is derived and checked, whatever the depth asked
     for comb in _kc_towers():
+        errors = [e for e in (_outcome(window_at, pair, 1) for pair in comb.levels) if not isinstance(e, ArcSet)]
+        for depth in range(1, comb.depth + 1):
+            assert _outcome(shadow_Kc, comb, depth) == errors[0], (comb, depth)
+
+
+def test_kc_shadow_matches_fraction_reference():
+    # the refiners' unreduced integers are compared as the Fractions they
+    # stand for, on towers whose lo and hi have different reduced
+    # denominators (1/5 and 4/15) and on the stock towers
+    mixed = RayPair(4, Angle(1, 5), Angle(4, 15))
+    combs = [Tower((feigenbaum_tower(1).level(1), mixed)), Tower((mixed,))]
+    combs += [feigenbaum_tower(d) for d in range(1, 7)] + [rabbit_tower(d) for d in range(1, 4)]
+    refined = 0
+    for comb in combs:
         left, right = _ref_kc_refiners(comb)
         for depth in range(1, comb.depth + 1):
-            shad = _outcome(shadow_Kc, comb, depth)
-            if not isinstance(shad, KcShadow):
-                continue
+            shad = shadow_Kc(comb, depth)
             refined += 1
             assert _parts(shad.s) == _parts(_ref_window_at(comb.level(depth), 1))
             for got, ref in ((shad.tau1, left), (shad.tau2, right)):
@@ -942,7 +960,16 @@ def test_kc_shadow_with_invalid_lower_level_matches_fraction_reference():
                 for bits in (1, 3, 5, 8):
                     want = _outcome(LimitAngle(int_refiner(ref), comb.depth).refine, bits)
                     assert _parts(_outcome(got.refine, bits)) == _parts(want)
-    assert refined >= 6
+    assert refined >= 30
+
+
+def test_window_length_raises_where_window_at_raises():
+    # j outside 1..p, and a pair whose 1/5 is not fixed by sigma^2
+    f3 = feigenbaum_tower(3).level(1)
+    for pair, j in ((f3, 0), (f3, 3), (f3, 4), (RayPair(2, Angle(1, 5), Angle(4, 5)), 1)):
+        error = _outcome(window_at, pair, j)
+        assert not isinstance(error, ArcSet)
+        assert _outcome(window_length, pair, j) == error
 
 
 def _hex(q):
@@ -992,6 +1019,17 @@ def test_window_algebra_check_fails_on_a_wrong_delta(monkeypatch):
     monkeypatch.setattr(selftest, "window_length", lambda pair, j: 2 * window_length(pair, j))
     check = selftest.check_window_algebra()
     assert not check.passed and "Delta differs from the arcs" in check.detail
+
+
+def test_window_algebra_check_fails_on_a_shifted_window(monkeypatch):
+    # s_{n,j+1} for s_{n,j}: window_at, window_length and subwindow agree with
+    # each other, and only the width formula tells
+    from renormray import selftest
+
+    real = towers._window
+    monkeypatch.setattr(towers, "_window", lambda pair, j: real(pair, j % pair.period + 1))
+    check = selftest.check_window_algebra()
+    assert not check.passed and check.detail == "level 1, j=1: Delta differs from width / 2^(p - j + 1)"
 
 
 def test_shadow_consistency_check_reports_in_shadow_error(monkeypatch):
