@@ -70,9 +70,7 @@ class RayPair:
         p = self.period
         if p < 1:
             return a, b, den, None, (f"period {p} < 1",)
-        # where 2^p is at most den^2, as at every tuned level, one recursive
-        # division costs less than pow's modular squarings
-        r = _divmod(1 << p, den)[1] if p <= 2 * den.bit_length() else pow(2, p, den)
+        r = pow(2, p, den)
         # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
         unfixed = tuple(t for t in (self.lo, self.hi) if (r - 1) % t.denominator)
         problems = [] if 0 < a < b else [f"angles not ordered: 0 < {self.lo} < {self.hi} < 1 fails"]

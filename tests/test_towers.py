@@ -337,9 +337,8 @@ def test_record_is_not_a_field():
 
 
 def test_record_runs_each_check_once(monkeypatch):
-    # the first window query pays 2^p mod den (by pow, or by one division
-    # where 2^p is at most den^2, as here) and gcd(b - a, den); later window,
-    # width and check queries on the pair read them from its record
+    # the first window query pays 2^p mod den and gcd(b - a, den); later
+    # window, width and check queries on the pair read them from its record
     level = feigenbaum_tower(6).level(6)
     pair = RayPair(level.period, level.lo, level.hi)
     width = level.hi.frac - level.lo.frac
@@ -354,7 +353,6 @@ def test_record_runs_each_check_once(monkeypatch):
 
     monkeypatch.setattr(math, "gcd", counting("gcd", math.gcd))
     monkeypatch.setattr(towers, "pow", counting("pow", pow), raising=False)
-    monkeypatch.setattr(towers, "_divmod", counting("pow", towers._divmod))
     window_at(pair, 1)
     assert calls == {"gcd": 1, "pow": 1}
     for j in (1, 2, 64):
