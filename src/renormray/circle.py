@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
 HALF = Fraction(1, 2)
 
@@ -445,39 +445,36 @@ class ArcSet:
 class LimitAngle:
     """An angle defined by nested shrinking arcs.
 
-    ``refiner(depth)`` returns integers (s, l, den, e) with den >= 1: the
-    closed arc from s/(den 2^e) over the length l/(den 2^e) contains the
-    limit.  Start and length share that one denominator, which need not be
-    reduced, so a refiner builds no Fraction and runs no gcd.  The arcs are
-    nested and their lengths shrink to 0 within the declared depth budget.
-    Exceeding the budget is an error, never silent truncation.
+    Each entry of ``arcs``, outermost first, is integers (s, l, den, e) with
+    den >= 1: the closed arc from s/(den 2^e) over the length l/(den 2^e)
+    contains the limit.  Start and length share that one denominator, which
+    need not be reduced, so the arcs are no Fractions and refining runs no
+    gcd.  The arcs are nested and their lengths shrink to 0; asking for more
+    bits than the last arc pins down is an error, never silent truncation.
     """
 
-    refiner: Callable[[int], tuple[int, int, int, int]]
-    max_depth: int
+    arcs: tuple[tuple[int, int, int, int], ...]
 
     @classmethod
     def from_angle(cls, t: Angle) -> "LimitAngle":
-        num, den = t.frac.numerator, t.frac.denominator
-        return cls(lambda depth: (num, 0, den, 0), max_depth=1)
+        return cls(((t.frac.numerator, 0, t.frac.denominator, 0),))
 
     def _arc_for_bits(self, nbits: int) -> tuple[int, int, int, int]:
         prev = None
-        for depth in range(1, self.max_depth + 1):
-            arc = self.refiner(depth)
+        for arc in self.arcs:
             _, l, den, e = arc
             if prev is not None:
                 # l/(den 2^e) > pl/(pden 2^pe), both sides times 2^-min(e, pe)
                 _, pl, pden, pe = prev
                 m = min(e, pe)
                 if (l * pden) << (pe - m) > (pl * den) << (e - m):
-                    raise ValueError("refiner arcs are not shrinking")
+                    raise ValueError("nested arcs are not shrinking")
             prev = arc
             # l/(den 2^e) <= 2^-(nbits+2), both sides times 2^-min(e, nbits + 2)
             m = min(e, nbits + 2)
             if l << (nbits + 2 - m) <= den << (e - m):
                 return arc
-        raise ValueError(f"insufficient depth: {nbits} bits need more than {self.max_depth} refinements")
+        raise ValueError(f"insufficient depth: {nbits} bits need more than {len(self.arcs)} refinements")
 
     def prefix_bits(self, nbits: int) -> int:
         """First nbits binary digits of the limit, as an integer."""

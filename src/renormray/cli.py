@@ -49,9 +49,11 @@ def _tower(args):
     levels = _parse(args, "tower", _tower_levels)
     if not levels:
         _usage_error(args, "--tower lists no levels")
+    if args.depth == 0:
+        _usage_error(args, "--depth 0 keeps no level of --tower")
     if args.depth is not None and args.depth > len(levels):
         _usage_error(args, f"--depth {args.depth} exceeds the {len(levels)} levels of --tower")
-    return Tower(tuple(levels[: args.depth] if args.depth else levels))
+    return Tower(tuple(levels[: args.depth]))
 
 
 def _tower_levels(text: str):
@@ -219,7 +221,7 @@ def cmd_ray(args):
             "angle": args.t,
             "points": [[p.real, p.imag] for p in path.points[-10:]],
             "levels": path.levels[-10:],
-            "landing": [path.landing.real, path.landing.imag] if path.landing is not None else None,
+            "landing": [path.landing.real, path.landing.imag],
             "residual": path.residual,
             "landed": path.landed,
             "aborted": path.aborted,

@@ -345,7 +345,7 @@ def beta_point(params: Params, comb, n: int) -> BetaResult:
     lands = []
     for t in (pair.lo, pair.hi):
         path = trace_ray(params, t, level_min=_BETA_LEVEL_MIN)
-        if path.aborted or path.landing is None:
+        if path.aborted:
             raise ValueError(f"ray {t} did not reach level {_BETA_LEVEL_MIN}: {path.abort_reason}")
         lands.append(path.landing)
     near = []

@@ -58,9 +58,6 @@ class RayPair:
         g = self._width_gcd
         return _coprime((b - a) // g, den // g)
 
-    def require_valid(self):
-        _valid(self)
-
     @cached_property
     def _record(self) -> tuple[int, int, int, tuple[Angle, ...] | None, tuple[str, ...]]:
         """(a, b, den, unfixed, problems): lo = a/den and hi = b/den over their least common denominator, the integers of every window and check; the angles sigma^p does not fix (None for a period below 1); check()'s problems."""
@@ -204,7 +201,7 @@ def self_tuned_tower(base: RayPair, depth: int) -> Tower:
     """Tower obtained by repeatedly tuning the base pair by itself."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    base.require_valid()
+    _valid(base)
     digits = _digits(base.lo), _digits(base.hi)
     levels = [base]
     for _ in range(depth - 1):
@@ -229,15 +226,11 @@ def window_endpoints(pair: RayPair, j: int) -> tuple[Angle, Angle, Angle, Angle]
     """(t_j, t'_j, t~'_j, t~_j): the sigma^(j-1) images of the window endpoints.
 
     The window s_{n,1} is [t, t'] u [t~', t~] with t' = t + Delta and
-    t~' = t~ - Delta, Delta = (t~ - t)/2^p.  This is the one checked
-    derivation of a pair's windows: the pair is validated, so sigma^p maps
-    t' to t~ and t~' to t exactly.
+    t~' = t~ - Delta, Delta = (t~ - t)/2^p, read from _window(), the one
+    checked derivation of a pair's windows.
     """
     den, _, ends, _ = _window(pair, j)
-    # with 2^p = 1 mod den, t and t~' are 2^(j-1) a and t' and t~ are 2^(j-1) b
-    # mod den, so they share gcd(a, den) and gcd(b, den) with den
-    g_lo, g_hi = den // pair.lo.denominator, den // pair.hi.denominator
-    return tuple(Angle(_over(x, den, pair.period, g)) for x, g in zip(ends, (g_lo, g_hi, g_lo, g_hi)))
+    return tuple(Angle(_over(x, den, pair.period)) for x in ends)
 
 
 def _window(pair: RayPair, j: int) -> tuple[int, int, list[int], int]:
@@ -270,8 +263,9 @@ def window_at(pair: RayPair, j: int) -> ArcSet:
     den, _, starts, dj = _window_at(_window(pair, j))
     # den is odd, so dj = (b - a) 2^(j-1) shares gcd(b - a, den) with den
     delta = _over(dj, den, p, pair._width_gcd)
-    # both starts are 2^(j-1) a mod den (window_endpoints); _window_at has
-    # shown the two arcs apart, so sorted by start they are canonical
+    # with 2^p = 1 mod den, both starts are 2^(j-1) a mod den and share
+    # gcd(a, den) with den; _window_at has shown the two arcs apart, so
+    # sorted by start they are canonical
     g = den // pair.lo.denominator
     return ArcSet._canonical(tuple(Arc(Angle(_over(x, den, p, g)), delta) for x in sorted(starts)))
 
@@ -405,13 +399,12 @@ class KcShadow:
 def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
     """The window s_{depth,1} containing the K_c shadow, plus the two limit angles.
 
-    tau1 = lim t_n and tau2 = lim t~_n are returned as nested-arc limits over
-    the left and right window components; the component length at level n is
-    (t~_n - t_n)/2^(p_n), which shrinks to zero.  Every level's s_{n,1} is
-    read from _window_at(_window(pair, 1)), so each level is checked as
-    window_at checks it, and the refiners return its components as the
-    integers (start, c, den, p) over den 2^p with c = b - a, so refining runs
-    no gcd.
+    tau1 = lim t_n and tau2 = lim t~_n are returned as the nested arcs of
+    the left and right window components; the component length at level n
+    is (t~_n - t_n)/2^(p_n), which shrinks to zero.  Every level's s_{n,1}
+    is read from _window_at(_window(pair, 1)), so each level is checked as
+    window_at checks it, and its components are kept as the integers
+    (start, c, den, p) over den 2^p with c = b - a, so refining runs no gcd.
     """
     if not 1 <= depth <= comb.depth:
         raise ValueError("depth exceeds tower size")
@@ -421,18 +414,9 @@ def shadow_Kc(comb: Tower, depth: int) -> KcShadow:
         (_, d0, _, c0), (_, d1, _, c1) = wins[n - 1], wins[n]
         if not c1 * d0 < c0 * d1:
             raise ValueError(f"window components do not shrink from level {n} to level {n + 1}")
-
-    # the level-m components [t, t'] and [t~', t~] over den 2^p, unreduced
-    def left(m: int) -> tuple[int, int, int, int]:
-        den, _, (t, _), c = wins[m - 1]
-        return t, c, den, comb.levels[m - 1].period
-
-    def right(m: int) -> tuple[int, int, int, int]:
-        den, _, (_, tt1), c = wins[m - 1]
-        return tt1, c, den, comb.levels[m - 1].period
-
-    tau1 = LimitAngle(left, max_depth=comb.depth)
-    tau2 = LimitAngle(right, max_depth=comb.depth)
+    # the level-n components [t, t'] and [t~', t~] over den 2^p, unreduced
+    arcs = [((t, c, den, pair.period), (tt1, c, den, pair.period)) for (den, _, (t, tt1), c), pair in zip(wins, comb.levels)]
+    tau1, tau2 = map(LimitAngle, zip(*arcs))
     return KcShadow(window_at(comb.level(depth), 1), tau1, tau2)
 
 

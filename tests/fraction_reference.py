@@ -208,42 +208,31 @@ def _ref_subwindow(pair, j):
     return arcs, labeled
 
 
-def _ref_kc_refiners(comb):
-    """shadow_Kc's (left, right) refiners in Fractions: the level-m window components [lo, lo + Delta] and [hi - Delta, hi]."""
-
-    def delta(m):
-        pair = comb.level(m)
-        return pair.width / (1 << pair.period)
-
-    def left(m):
-        return comb.level(m).lo.frac, delta(m)
-
-    def right(m):
-        return (comb.level(m).hi.frac - delta(m)) % 1, delta(m)
-
+def _ref_kc_arcs(comb):
+    """shadow_Kc's (left, right) arcs in Fractions: per level m, the window components [lo, lo + Delta] and [hi - Delta, hi] as (start, length)."""
+    left, right = [], []
+    for pair in comb.levels:
+        delta = pair.width / (1 << pair.period)
+        left.append((pair.lo.frac, delta))
+        right.append(((pair.hi.frac - delta) % 1, delta))
     return left, right
 
 
-def int_refiner(ref, scale=1, extra=0):
-    """The LimitAngle refiner of a Fraction refiner ref: its (start, length) as integers (s, l, den, e).
+def int_arc(start, length, scale=1, extra=0):
+    """A LimitAngle arc of the Fractions (start, length) as integers (s, l, den, e).
 
     The denominator is the product of the two, times an odd scale and
     2^extra, and its power of two goes into e; so den is odd and the
     integers are not reduced.
     """
-
-    def refiner(depth):
-        start, length = ref(depth)
-        D = start.denominator * length.denominator * scale
-        e = (D & -D).bit_length() - 1
-        s, l = (x.numerator * (D // x.denominator) << extra for x in (start, length))
-        return s, l, D >> e, e + extra
-
-    return refiner
+    D = start.denominator * length.denominator * scale
+    e = (D & -D).bit_length() - 1
+    s, l = (x.numerator * (D // x.denominator) << extra for x in (start, length))
+    return s, l, D >> e, e + extra
 
 
-def refiner_fractions(arc):
-    """A LimitAngle refiner's integers (s, l, den, e) as the Fractions (start, length)."""
+def arc_fractions(arc):
+    """A LimitAngle arc's integers (s, l, den, e) as the Fractions (start, length)."""
     s, l, den, e = arc
     return Fraction(s, den << e), Fraction(l, den << e)
 

@@ -28,7 +28,7 @@ from renormray.circle import (
 )
 from renormray.towers import RayPair, feigenbaum_tower, rabbit_tower, subwindow, window_at, window_endpoints
 
-from fraction_reference import _ref_preimages, int_refiner
+from fraction_reference import _ref_preimages, int_arc
 
 rationals = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
@@ -351,6 +351,11 @@ def test_limit_angle_of_rational():
     assert min(d, 1 - d) < Fraction(1, 1 << 10)
 
 
+def test_limit_angle_of_rational_is_one_point_arc():
+    # a rational limit is the one arc of length 0 at it, as plain integers
+    assert LimitAngle.from_angle(Angle(2, 7)).arcs == ((2, 0, 7, 0),)
+
+
 @pytest.mark.parametrize("first, second", [
     ((1, 3, 2), (1, 7, 2)),  # 1/12 then 1/28
     ((1, 3, 2), (2, 3, 3)),  # 1/12 twice, over different 2^e: not growing
@@ -359,11 +364,10 @@ def test_limit_angle_of_rational():
     ((5, 1, 43), (3, 1, 42)),  # 5/2^43 then 6/2^43
 ])
 def test_limit_angle_rejects_growing_arcs_exactly(first, second):
-    arcs = [(0, l, den, e) for l, den, e in (first, second)]
-    lim = LimitAngle(lambda depth: arcs[depth - 1], max_depth=2)
+    lim = LimitAngle(tuple((0, l, den, e) for l, den, e in (first, second)))
     grows = Fraction(second[0], second[1] << second[2]) > Fraction(first[0], first[1] << first[2])
     if grows:
-        with pytest.raises(ValueError, match="refiner arcs are not shrinking"):
+        with pytest.raises(ValueError, match="nested arcs are not shrinking"):
             lim.prefix_bits(40)
     else:
         with pytest.raises(ValueError, match="insufficient depth: 40 bits need more than 2 refinements"):
@@ -371,8 +375,8 @@ def test_limit_angle_rejects_growing_arcs_exactly(first, second):
 
 
 def test_limit_angle_budget_exhaustion():
-    lim = LimitAngle(lambda d: (0, 1, 1, d), max_depth=3)
-    with pytest.raises(ValueError):
+    lim = LimitAngle(tuple((0, 1, 1, d) for d in range(1, 4)))
+    with pytest.raises(ValueError, match="30 bits need more than 3 refinements"):
         lim.prefix_bits(30)
 
 
@@ -385,7 +389,7 @@ def test_limit_angle_budget_exhaustion():
     ],
 )
 def test_limit_angle_prefix_across_dyadic_boundary(start, nbits, expected):
-    lim = LimitAngle(int_refiner(lambda d: (start, Fraction(1, 1 << 19))), max_depth=1)
+    lim = LimitAngle((int_arc(start, Fraction(1, 1 << 19)),))
     assert lim.prefix_bits(nbits) == expected
     assert lim.refine(nbits) == Angle(expected, 1 << nbits)
 
@@ -411,12 +415,12 @@ def _ref_prefix_bits(start, length, nbits):
 def test_prefix_bits_matches_fraction_formula(start, nbits, length_num, cell, straddle, scale, extra):
     # lengths up to 2^-(nbits+2), zero included; a straddling start sits just
     # below the dyadic point cell/2^nbits, which may lie outside [0, 1).  The
-    # refiner's integers are left unreduced, over den 2^e with e below or
+    # arc's integers are left unreduced, over den 2^e with e below or
     # above nbits
     length = Fraction(length_num, 1 << (nbits + 4))
     if straddle:
         start = Fraction(cell - 2048, 1 << nbits) - length / 2
-    lim = LimitAngle(int_refiner(lambda depth: (start, length), scale, extra), max_depth=1)
+    lim = LimitAngle((int_arc(start, length, scale, extra),))
     assert lim.prefix_bits(nbits) == _ref_prefix_bits(start, length, nbits)
 
 

@@ -325,6 +325,7 @@ MALFORMED_VALUES = [
     ["telescope", "--c", "-2", "--x", "2", "--r", "0.3", "--kappa", "0.5", "--delta=-inf", "--times", "0,1"],
     ["tower", "--tower", TWO_LEVELS, "--depth", "-1"],
     ["tower", "--tower", TWO_LEVELS, "--depth", "3"],
+    ["tower", "--tower", TWO_LEVELS, "--depth", "0"],
     ["validate", "--tower", "[]"],
     ["lamination", "--tower", "feigenbaum", "--depth", "2", "--preimage-depth", "-3"],
     ["tower", "--tower", "feigenbaum", "--depth", "-1"],

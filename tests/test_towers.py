@@ -43,7 +43,7 @@ from fraction_reference import (
     _ref_check,
     _ref_tune,
     _ref_in_shadow,
-    _ref_kc_refiners,
+    _ref_kc_arcs,
     _ref_omega_probe,
     _ref_orbit_chords,
     _ref_theta,
@@ -52,9 +52,9 @@ from fraction_reference import (
     _ref_window_endpoints,
     _ref_window_length,
     _ref_subwindow,
-    int_refiner,
+    arc_fractions,
+    int_arc,
     outcome as _outcome,
-    refiner_fractions,
 )
 
 
@@ -338,7 +338,9 @@ def test_record_is_not_a_field():
 
 def test_record_runs_each_check_once(monkeypatch):
     # the first window query pays 2^p mod den and gcd(b - a, den); later
-    # window, width and check queries on the pair read them from its record
+    # window, width and check queries on the pair read them from its record.
+    # window_endpoints reduces each endpoint by its own gcd but reads 2^p mod
+    # den from the record too
     level = feigenbaum_tower(6).level(6)
     pair = RayPair(level.period, level.lo, level.hi)
     width = level.hi.frac - level.lo.frac
@@ -358,9 +360,11 @@ def test_record_runs_each_check_once(monkeypatch):
     for j in (1, 2, 64):
         window_at(pair, j)
         subwindow(pair, j)
-        window_endpoints(pair, j)
     assert (pair.check(), pair.width) == ([], width)
     assert calls == {"gcd": 1, "pow": 1}
+    for j in (1, 2, 64):
+        window_endpoints(pair, j)
+    assert calls["pow"] == 1
 
 
 def test_shadow_examples():
@@ -940,7 +944,7 @@ def test_kc_shadow_with_an_invalid_level_raises_window_at_error():
 
 
 def test_kc_shadow_matches_fraction_reference():
-    # the refiners' unreduced integers are compared as the Fractions they
+    # the arcs' unreduced integers are compared as the Fractions they
     # stand for, on towers whose lo and hi have different reduced
     # denominators (1/5 and 4/15) and on the stock towers
     mixed = RayPair(4, Angle(1, 5), Angle(4, 15))
@@ -948,19 +952,25 @@ def test_kc_shadow_matches_fraction_reference():
     combs += [feigenbaum_tower(d) for d in range(1, 7)] + [rabbit_tower(d) for d in range(1, 4)]
     refined = 0
     for comb in combs:
-        left, right = _ref_kc_refiners(comb)
+        left, right = _ref_kc_arcs(comb)
         for depth in range(1, comb.depth + 1):
             shad = shadow_Kc(comb, depth)
             refined += 1
             assert _parts(shad.s) == _parts(_ref_window_at(comb.level(depth), 1))
             for got, ref in ((shad.tau1, left), (shad.tau2, right)):
-                assert [_parts(refiner_fractions(got.refiner(m))) for m in range(1, comb.depth + 1)] == [
-                    _parts(ref(m)) for m in range(1, comb.depth + 1)
-                ]
+                assert [_parts(arc_fractions(arc)) for arc in got.arcs] == [_parts(arc) for arc in ref]
                 for bits in (1, 3, 5, 8):
-                    want = _outcome(LimitAngle(int_refiner(ref), comb.depth).refine, bits)
+                    want = _outcome(LimitAngle(tuple(int_arc(*arc) for arc in ref)).refine, bits)
                     assert _parts(_outcome(got.refine, bits)) == _parts(want)
     assert refined >= 30
+
+
+def test_kc_shadow_limit_angles_are_equal_values():
+    # a limit angle is its tuple of arcs, so two calls on one tower give equal tau's
+    comb = feigenbaum_tower(6)
+    first, second = shadow_Kc(comb, 6), shadow_Kc(comb, 6)
+    assert first.tau1 == second.tau1 and first.tau2 == second.tau2
+    assert first == second
 
 
 def test_window_length_raises_where_window_at_raises():
@@ -1288,11 +1298,11 @@ def test_omega_probe_matches_fraction_reference_on_wrapping_runs_and_last_window
 
 def test_deep_prefix_bits_runs_no_gcd_and_builds_no_fraction(monkeypatch):
     # README's omega example reads 65,548 digits of the F17 limit: one wide
-    # division (circle._divmod) and shifts on the refiner's integers, counted
+    # division (circle._divmod) and shifts on the arcs' integers, counted
     # rather than timed
     comb = feigenbaum_tower(17)
     tau1 = shadow_Kc(comb, 17).tau1
-    want = LimitAngle(int_refiner(_ref_kc_refiners(comb)[0]), comb.depth).prefix_bits(65548)
+    want = LimitAngle(tuple(int_arc(*arc) for arc in _ref_kc_arcs(comb)[0])).prefix_bits(65548)
     calls = {"gcd": 0, "Fraction": 0}
 
     def counting(name, f):
