@@ -30,6 +30,10 @@ _CASCADE_CERT_HALF_WIDTH = 2.0**-40  # g_d must change sign across s_d +- this
 class Params:
     c: complex
 
+    def __post_init__(self):
+        if not cmath.isfinite(self.c):
+            raise ValueError(f"c must be a finite complex number, not {self.c!r}")
+
     @property
     def escape_radius(self) -> float:
         return max(4.0, 2.0 + abs(self.c))
@@ -173,13 +177,18 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
     point aborts cleanly with the partial path.  The level falls by 2^(-1/6)
     per step down to level_min, Newton stops at a residual of 1e-12 relative
     to 1 + |target|, and the ray has landed when the spread of its points
-    over the last level decade is below 1e-9.
+    over the last level decade is below 1e-9.  f^m(z) and (f^m)'(z) are
+    carried from one Newton iteration to the next and extended by the
+    n - m further steps of the same recurrence; this is exact because Newton
+    stops at the z it last evaluated, so a level step starts from the values
+    the one before it ended on.  ValueError unless 0 < level_min < the start
+    level.
     """
     if level_min <= 0:
         raise ValueError("level_min must be positive")
     c = params.c
     base = max(math.log(1e4), math.log(params.escape_radius) + 1.0)
-    if level_min >= base:
+    if not level_min < base:
         raise ValueError(f"level_min must be below the start level {base:.6g}")
     path = RayPath(angle=t)
     level = base
@@ -189,17 +198,22 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
     path.levels.append(level)
     ratio = 2.0 ** (-1.0 / _RAY_STEPS_PER_HALVING)
     k, q = t.frac.numerator, t.frac.denominator
+    f, d, m = z, 1.0 + 0.0j, 0  # f^m(z) and (f^m)'(z)
     while level > level_min:
         level *= ratio
         while level * (1 << n) < base:
             n += 1
         theta = _doubled(k, q, n)
         w = cmath.exp(complex(level * (1 << n), 2 * math.pi * theta))
+        tol = _RAY_NEWTON_TOL * (1.0 + abs(w))
         ok = False
         for _ in range(60):
-            f, d = _fn_and_derivative(z, n, c)
+            for _ in range(n - m):
+                d = 2.0 * f * d
+                f = f * f + c
+            m = n
             err = f - w
-            if abs(err) <= _RAY_NEWTON_TOL * (1.0 + abs(w)):
+            if abs(err) <= tol:
                 ok = True
                 break
             if d == 0:
@@ -213,6 +227,7 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
                 ok = True
                 break
             z = z - step
+            f, d, m = z, 1.0 + 0.0j, 0
         if not ok:
             path.aborted = True
             path.abort_reason = f"newton divergence at level {level:.3e}"

@@ -1,11 +1,14 @@
 import cmath
+import dataclasses
 import hashlib
 import math
+import random
 import struct
 import warnings
 
 import numpy as np
 import pytest
+from ray_reference import ref_trace_ray
 
 from renormray import plane
 from renormray.circle import Angle, sigma_pow
@@ -107,11 +110,45 @@ def test_ray_basilica_alpha():
         assert abs(path.landing - ALPHA) < 1e-6
 
 
-@pytest.mark.parametrize("level_min", [9.3, 1e3])
+@pytest.mark.parametrize("level_min", [9.3, 1e3, math.inf, math.nan])
 def test_ray_level_min_at_or_above_start_level_raises(level_min):
-    # the descent starts at level max(ln 1e4, ln(escape radius) + 1) ~ 9.21
+    # the descent starts at level max(ln 1e4, ln(escape radius) + 1) ~ 9.21;
+    # a NaN level_min fails both comparisons and is no level below it
     with pytest.raises(ValueError, match="start level"):
         trace_ray(Params(-1), Angle(1, 3), level_min=level_min)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(0, math.nan), complex(-math.inf, 1)])
+def test_params_rejects_non_finite_c(c):
+    # a NaN c would trace a ray that reads both aborted and landed, and give
+    # Green level 0 as if the point were in K
+    with pytest.raises(ValueError, match="finite"):
+        Params(c)
+
+
+RABBIT = complex(-0.12256116687665361, 0.74486176661974424)  # centre of period-3 component
+
+
+def test_ray_matches_reference_bit_for_bit():
+    # trace_ray carries f^n(z) and (f^n)'(z) between Newton iterations; the
+    # reference evaluates them afresh each time.  Every field of every path,
+    # aborted ones included, must have the same repr
+    cs = [-1, feigenbaum_parameter(3), RABBIT, 0.25, -2, 0.3 + 0.5j, 1j, -0.75, -1.25 + 0.1j]
+    rng = random.Random(3)
+    angles = [Angle(0), Angle(1, 3), Angle(1, 2)]
+    while len(angles) < 34:
+        q = rng.randrange(2, 65)
+        angles.append(Angle(rng.randrange(1, q), q))
+    levels = (1e-6, 1e-9, 1e-14)
+    aborted = 0
+    for i, c in enumerate(cs):
+        for j, t in enumerate(angles):
+            params, level_min = Params(c), levels[(i + j) % 3]
+            path, ref = trace_ray(params, t, level_min), ref_trace_ray(params, t, level_min)
+            for field in dataclasses.fields(path):
+                assert repr(getattr(path, field.name)) == repr(getattr(ref, field.name)), (c, t, level_min, field.name)
+            aborted += path.aborted
+    assert aborted >= 30
 
 
 def test_ray_levels_decrease():

@@ -337,14 +337,15 @@ def test_record_is_not_a_field():
 
 
 def test_record_runs_each_check_once(monkeypatch):
-    # the first window query pays 2^p mod den and gcd(b - a, den); later
-    # window, width and check queries on the pair read them from its record.
-    # window_endpoints reduces each endpoint by its own gcd but reads 2^p mod
-    # den from the record too
+    # the first window query pays 2^p mod den (by _divmod at this p, by pow
+    # past 2 bits(den)) and gcd(b - a, den); later window, width and check
+    # queries on the pair read them from its record.  window_endpoints
+    # reduces each endpoint by its own gcd but reads 2^p mod den from the
+    # record too
     level = feigenbaum_tower(6).level(6)
     pair = RayPair(level.period, level.lo, level.hi)
     width = level.hi.frac - level.lo.frac
-    calls = {"gcd": 0, "pow": 0}
+    calls = {"gcd": 0, "mod": 0}
 
     def counting(name, f):
         def counted(*args):
@@ -354,17 +355,55 @@ def test_record_runs_each_check_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(math, "gcd", counting("gcd", math.gcd))
-    monkeypatch.setattr(towers, "pow", counting("pow", pow), raising=False)
+    monkeypatch.setattr(towers, "pow", counting("mod", pow), raising=False)
+    monkeypatch.setattr(towers, "_divmod", counting("mod", towers._divmod))
     window_at(pair, 1)
-    assert calls == {"gcd": 1, "pow": 1}
+    assert calls == {"gcd": 1, "mod": 1}
     for j in (1, 2, 64):
         window_at(pair, j)
         subwindow(pair, j)
     assert (pair.check(), pair.width) == ([], width)
-    assert calls == {"gcd": 1, "pow": 1}
+    assert calls == {"gcd": 1, "mod": 1}
     for j in (1, 2, 64):
         window_endpoints(pair, j)
-    assert calls["pow"] == 1
+    assert calls["mod"] == 1
+
+
+def test_record_power_of_two_mod_den_equals_pow(monkeypatch):
+    # _record takes 2^p mod den by one division while p <= 2 bits(den) and by
+    # pow beyond; each side of that threshold takes its own way, and both
+    # give pow's value
+    pairs = [feigenbaum_tower(17).level(n) for n in range(1, 18)]
+    pairs += [rabbit_tower(10).level(n) for n in range(1, 11)]
+    for period, lo, hi in [(4, "1/15", "4/15"), (8, "7/17", "10/17"), (10**12, "1/3", "2/3")]:
+        pairs.append(RayPair(period, Angle.parse(lo), Angle.parse(hi)))
+    for bits in (5, 9, 33):
+        den = (1 << bits) - 1
+        for p in (2 * bits - 1, 2 * bits, 2 * bits + 1):  # den | 2^p - 1 only where bits | p
+            pairs.append(RayPair(p, Angle(1, den), Angle(2, den)))
+    taken = []
+
+    def by_divmod(a, b):
+        q, r = circle._divmod(a, b)
+        taken.append(("divmod", r))
+        return q, r
+
+    def by_pow(*args):
+        r = pow(*args)
+        taken.append(("pow", r))
+        return r
+
+    monkeypatch.setattr(towers, "_divmod", by_divmod)
+    monkeypatch.setattr(towers, "pow", by_pow, raising=False)
+    ways = set()
+    for pair in pairs:
+        p, den = pair.period, math.lcm(pair.lo.denominator, pair.hi.denominator)
+        RayPair(p, pair.lo, pair.hi)._record
+        way = "divmod" if p <= 2 * den.bit_length() else "pow"
+        assert taken == [(way, pow(2, p, den))]
+        taken.clear()
+        ways.add(way)
+    assert ways == {"divmod", "pow"}
 
 
 def test_shadow_examples():
