@@ -178,11 +178,9 @@ def trace_ray(params: Params, t: Angle, level_min: float) -> RayPath:
     per step down to level_min, Newton stops at a residual of 1e-12 relative
     to 1 + |target|, and the ray has landed when the spread of its points
     over the last level decade is below 1e-9.  f^m(z) and (f^m)'(z) are
-    carried from one Newton iteration to the next and extended by the
-    n - m further steps of the same recurrence; this is exact because Newton
-    stops at the z it last evaluated, so a level step starts from the values
-    the one before it ended on.  ValueError unless 0 < level_min < the start
-    level.
+    carried between Newton iterations and extended by n - m more steps of
+    the same recurrence, which is exact because Newton stops at the z it
+    last evaluated.  ValueError unless 0 < level_min < the start level.
     """
     if level_min <= 0:
         raise ValueError("level_min must be positive")

@@ -68,8 +68,8 @@ class RayPair:
         if p < 1:
             return a, b, den, None, (f"period {p} < 1",)
         # while the quotient of 2^p by den is no wider than den, one recursive
-        # division is far cheaper than pow's square-and-multiply (8.3 against
-        # 0.4 ms at F17's top level); pow keeps huge periods such as 10^12 cheap
+        # division costs far less than pow's square-and-multiply; pow keeps a
+        # huge period such as 10^12 cheap
         r = _divmod(1 << p, den)[1] if p <= 2 * den.bit_length() else pow(2, p, den)
         # sigma^p(t) = t exactly when t's denominator, a divisor of den, divides 2^p - 1
         unfixed = tuple(t for t in (self.lo, self.hi) if (r - 1) % t.denominator)
